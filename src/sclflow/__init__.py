@@ -35,7 +35,15 @@ from .cones import (
     is_extremal,
     weight_vector,
 )
-from .engine import SclResult, klein_value, pair_flow, scl, scl_bracket
+from .engine import (
+    SclResult,
+    cache_info,
+    clear_caches,
+    klein_value,
+    pair_flow,
+    scl,
+    scl_bracket,
+)
 from .errors import (
     InputError,
     InternalCheckError,

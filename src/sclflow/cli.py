@@ -33,14 +33,33 @@ class RunConfig:
     output: str = "text"
 
 
+_CONFIG_TYPES = {"bound": int, "stabilize": bool, "seed": int, "output": str}
+
+
+def _load_json(path: str):
+    """The JSON document in a file; malformed JSON is an input error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        for key in ("bound", "stabilize", "seed", "output"):
+        data = _load_json(args.config)
+        if not isinstance(data, dict):
+            raise InputError(f"{args.config}: config must be a JSON object")
+        for key, typ in _CONFIG_TYPES.items():
             if key in data:
+                # exact type: JSON true/false must not pass for an int
+                if type(data[key]) is not typ:
+                    raise InputError(f"{args.config}: {key!r} must be of type "
+                                     f"{typ.__name__}, got {data[key]!r}")
                 setattr(cfg, key, data[key])
+        if cfg.output not in ("text", "json"):
+            raise InputError(f"{args.config}: 'output' must be 'text' or 'json'")
     # flags win over the config file
     if getattr(args, "bound", None) is not None:
         cfg.bound = args.bound
@@ -169,8 +188,7 @@ def cmd_essential(args) -> int:
 
     cfg = _config_from_args(args)
     spec = _spec_from_args(args)
-    with open(args.disc, "r", encoding="utf-8") as fh:
-        d = flow_from_json(json.load(fh))
+    d = flow_from_json(_load_json(args.disc))
     ess = is_essential(spec, d)
     _emit({"essential": ess}, f"essential: {ess}", cfg)
     return EXIT_OK
@@ -218,9 +236,13 @@ def cmd_gadget(args) -> int:
         _emit(payload, "\n".join(f"{lbl}: {list(col)}" for lbl, col in
                                  zip(table.labels(), table.columns)), cfg)
     elif sub == "collapse":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        vectors = data["vectors"]
+        data = _load_json(args.file)
+        vectors = data.get("vectors") if isinstance(data, dict) else None
+        if not (isinstance(vectors, list) and all(
+                isinstance(v, list) and all(type(c) is int for c in v)
+                for v in vectors)):
+            raise InputError(f"{args.file}: expected {{\"vectors\": "
+                             "[[int, ...], ...]}")
         out = collapse(vectors, args.usage_bound)
         _emit({"collapsed": out}, f"collapsed: {out}", cfg)
     elif sub == "smallscl":
@@ -253,8 +275,7 @@ def cmd_synth(args) -> int:
     from .synth import synthesize_extremal
 
     cfg = _config_from_args(args)
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        g = graph_from_json(json.load(fh))
+    g = graph_from_json(_load_json(args.graph))
     result = synthesize_extremal(g)
     payload = result.to_json()
     text = (f"flow on graph: {list(result.f_vals)} (distinguished edge "

@@ -25,6 +25,7 @@ from .graphs import Flow, outflow_vector
 from .linprog import (
     affine_solution,
     enumerate_vertices,
+    int_scaled,
     nullspace,
     rat,
     rref,
@@ -174,6 +175,8 @@ def enumerate_disc_vectors(spec: ConeSpec, bound: int,
     every outflow <= bound, in a deterministic order."""
     if spec.n > n_limit:
         raise LimitExceeded(f"disc enumeration limited to n <= {n_limit}")
+    if bound < 0:
+        raise InputError(f"outflow bound must be nonnegative, got {bound}")
     if bound > bound_limit:
         raise LimitExceeded(f"disc enumeration limited to bound <= {bound_limit}")
     key = (spec.key(), bound)
@@ -504,10 +507,7 @@ def extremal_rays(spec: ConeSpec, n_limit: int = RAY_N_LIMIT) -> list[Flow]:
     seen = set()
     for y in verts:
         f = [x0[c] + sum(b[c] * yv for b, yv in zip(basis, y)) for c in range(dim)]
-        lcm = 1
-        for v in f:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in f]
+        ints, _scale = int_scaled(f)
         g = 0
         for v in ints:
             g = gcd(g, v)

@@ -21,10 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import ConeSpec, cone_spec, in_cone, lp_columns
+from .cones import (
+    _COLUMN_CACHE,
+    _DISC_CACHE,
+    ConeSpec,
+    cone_spec,
+    in_cone,
+    lp_columns,
+)
 from .errors import InputError, InternalCheckError, LimitExceeded
 from .graphs import Flow, flow_to_json
-from .linprog import make_lp, rat_to_json, solve_lp
+from .linprog import int_scaled, make_lp, rat_to_json, solve_lp
 from .words import Word
 
 SCL_N_LIMIT = 6
@@ -104,13 +111,16 @@ def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
         res = solve_lp(build_lp(active))
         if res.status != "optimal":
             return res, active
-        duals = res.ineq_duals
+        # price in integers: with the duals over one common denominator L,
+        # L * (reduced cost) = L - sum(y_r * c_r) has the sign and order
+        # of the reduced cost itself
+        duals, scale = int_scaled(res.ineq_duals)
         active_set = set(active)
         violating = []
         for cid, (_gi, _ci, col) in enumerate(all_cols):
             if cid in active_set:
                 continue
-            rc = Fraction(1) - sum(duals[r] * cf for r, cf in col.items())
+            rc = scale - sum(duals[r] * cf for r, cf in col.items())
             if rc > 0:
                 violating.append((rc, cid))
         if not violating:
@@ -206,6 +216,19 @@ class SclResult:
 
 
 _SCL_LP_CACHE: dict = {}
+
+
+def clear_caches() -> None:
+    """Empty the memo caches of scl LPs, disc vectors and LP columns."""
+    _SCL_LP_CACHE.clear()
+    _DISC_CACHE.clear()
+    _COLUMN_CACHE.clear()
+
+
+def cache_info() -> dict[str, int]:
+    """Number of entries in each memo cache."""
+    return {"scl_lp": len(_SCL_LP_CACHE), "disc_vectors": len(_DISC_CACHE),
+            "lp_columns": len(_COLUMN_CACHE)}
 
 
 def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):

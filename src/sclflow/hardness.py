@@ -339,6 +339,8 @@ def collapse(vectors: Sequence[Sequence[int]], usage_bound: int) -> list[int]:
     if not vecs:
         return []
     k = len(vecs[0])
+    if any(len(v) != k for v in vecs):
+        raise InputError("vectors must all have the same length")
     if usage_bound < 1:
         raise InputError("usage bound must be positive")
     scale = []

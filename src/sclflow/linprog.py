@@ -1,9 +1,15 @@
 """Exact rational linear programming and small-scale linear algebra.
 
-Everything here computes with `fractions.Fraction`; there is no floating
-point anywhere, so optima and witnesses are exact and reproducible.  The
-solver is a two-phase primal simplex with Bland's anti-cycling pivot rule,
-which makes it deterministic for a fixed input.
+There is no floating point anywhere, so optima and witnesses are exact and
+reproducible.  Inputs and outputs are `fractions.Fraction`s.  The solver is
+a two-phase primal simplex with Bland's anti-cycling pivot rule, which
+makes it deterministic for a fixed input.  Inside, it works on a sparse
+integer tableau: each row is a map from column to nonzero int plus an int
+rhs over one positive int denominator, and pivots are fraction-free
+(Edmonds) eliminations that touch only the rows with an entry in the pivot
+column.  `solve_square` eliminates fraction-free as well (Bareiss), and
+`int_scaled` is the one place rationals are brought to a common
+denominator.
 
 A brute-force vertex enumerator doubles as an independent oracle for the
 simplex and as the engine behind extremal-ray extraction.
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as gcd_int
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InputError, LimitExceeded
@@ -38,6 +45,14 @@ def rat_from_json(obj) -> Fraction:
     if isinstance(obj, dict) and "num" in obj and "den" in obj:
         return Fraction(int(obj["num"]), int(obj["den"]))
     raise InputError(f"not a rational JSON object: {obj!r}")
+
+
+def int_scaled(values) -> tuple[list[int], int]:
+    """Rationals (ints or Fractions) times the lcm L of their denominators,
+    as ints, together with L (1 when there are no values)."""
+    vals = list(values)
+    scale = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals], scale
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +100,8 @@ def solve_square(mat: Sequence[Sequence[Fraction]],
     which is several times faster than rational Gaussian elimination.
     """
     n = len(mat)
-    aug = []
-    for i, row in enumerate(mat):
-        vals = [rat(x) for x in row] + [rat(rhs[i])]
-        scale = 1
-        for v in vals:
-            d = v.denominator
-            scale = scale * d // gcd_int(scale, d)
-        aug.append([int(v * scale) for v in vals])
+    aug = [int_scaled([rat(x) for x in row] + [rat(rhs[i])])[0]
+           for i, row in enumerate(mat)]
     prev = 1
     for col in range(n):
         pr = None
@@ -208,83 +217,121 @@ def make_lp(objective, eq=(), ineq=(), nonneg=None) -> LinearProgram:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase simplex, Bland's rule
+# Two-phase simplex, Bland's rule, on a sparse integer tableau
 # ---------------------------------------------------------------------------
 
-class _Tableau:
-    """Dense simplex tableau over Fractions.
+def _reduce(row: dict, rhs: int, den: int) -> tuple[dict, int, int]:
+    """Divide a tableau row, its rhs and its denominator by their gcd."""
+    g = gcd_int(den, rhs, *row.values())
+    if g == 1:
+        return row, rhs, den
+    return {j: v // g for j, v in row.items()}, rhs // g, den // g
 
-    Columns: structural variables first, then slacks, then artificials,
-    then the rhs.  Rows carry the constraint system; `obj` is the reduced
-    cost row maintained through pivots.
+
+def _eliminate(row: dict, rhs: int, den: int, prow: dict, prhs: int,
+               c: int) -> tuple[dict, int, int]:
+    """Clear column c of a row against a pivot row whose entry there is
+    its positive denominator p: row <- p*row - row[c]*prow, den <- den*p.
+
+    This is one fraction-free (Edmonds) elimination step; dividing by the
+    gcd afterwards keeps the integers as small as the row allows.
+    """
+    p = prow[c]
+    f = row[c]
+    new = dict(row) if p == 1 else {j: p * v for j, v in row.items()}
+    for j, v in prow.items():
+        x = new.get(j, 0) - f * v
+        if x:
+            new[j] = x
+        else:
+            del new[j]
+    return _reduce(new, p * rhs - f * prhs, den * p)
+
+
+class _Tableau:
+    """Sparse fraction-free simplex tableau.
+
+    Row i stands for the equation sum_j rows[i][j] * x_j = rhs[i], divided
+    through by den[i]: `rows[i]` maps a column to its nonzero int
+    coefficient, `rhs[i]` is an int and `den[i]` a positive int shared by
+    the whole row, and the three have no common factor.  The basic column
+    of row i carries the entry den[i], so its value is rhs[i] / den[i].
+    Columns are numbered structural variables first, then slacks, then
+    artificials.  The reduced-cost row `obj` has the same form, with
+    minus the objective constant in `obj_rhs`.
     """
 
-    def __init__(self, rows, rhs, ncols):
-        self.rows = rows          # list of list[Fraction], each length ncols
-        self.rhs = rhs            # list[Fraction]
-        self.ncols = ncols
-        self.basis: list[int] = []
-        self.obj: list[Fraction] = []
-        self.obj_const = Fraction(0)
+    def __init__(self, rows, rhs, den, basis):
+        self.rows: list[dict] = rows
+        self.rhs: list[int] = rhs
+        self.den: list[int] = den
+        self.basis: list[int] = basis
+        self.obj: dict = {}
+        self.obj_rhs = 0
+        self.obj_den = 1
 
-    def set_objective(self, coeffs):
-        # reduced costs: start from raw objective, then price out basis
-        self.obj = list(coeffs) + [Fraction(0)] * (self.ncols - len(coeffs))
-        self.obj_const = Fraction(0)
+    def set_objective(self, coeffs: dict) -> None:
+        """Reduced costs of the objective {column: rational}: start from the
+        raw coefficients, then price out the basis."""
+        ints, scale = int_scaled(coeffs.values())
+        obj = {j: v for j, v in zip(coeffs, ints) if v}
+        obj_rhs, obj_den = 0, scale
         for r, b in enumerate(self.basis):
-            cb = self.obj[b]
-            if cb != 0:
-                self.obj = [o - cb * a for o, a in zip(self.obj, self.rows[r])]
-                self.obj_const += cb * self.rhs[r]
+            if b in obj:
+                obj, obj_rhs, obj_den = _eliminate(
+                    obj, obj_rhs, obj_den, self.rows[r], self.rhs[r], b)
+        self.obj, self.obj_rhs, self.obj_den = obj, obj_rhs, obj_den
 
-    def pivot(self, r, c):
-        pv = self.rows[r][c]
-        inv = Fraction(1) / pv
-        self.rows[r] = [x * inv for x in self.rows[r]]
-        self.rhs[r] *= inv
-        prow = self.rows[r]
-        prhs = self.rhs[r]
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            f = self.rows[i][c]
-            if f != 0:
-                self.rows[i] = [a - f * b for a, b in zip(self.rows[i], prow)]
-                self.rhs[i] -= f * prhs
-        f = self.obj[c]
-        if f != 0:
-            self.obj = [a - f * b for a, b in zip(self.obj, prow)]
-            self.obj_const += f * prhs
+    def pivot(self, r: int, c: int) -> None:
+        """Make column c basic in row r.  Only the rows with an entry in
+        column c change."""
+        prow, prhs = self.rows[r], self.rhs[r]
+        if prow[c] < 0:
+            prow = {j: -v for j, v in prow.items()}
+            prhs = -prhs
+        prow, prhs, p = _reduce(prow, prhs, prow[c])
+        self.rows[r], self.rhs[r], self.den[r] = prow, prhs, p
+        for i, row in enumerate(self.rows):
+            if i != r and c in row:
+                self.rows[i], self.rhs[i], self.den[i] = _eliminate(
+                    row, self.rhs[i], self.den[i], prow, prhs, c)
+        if c in self.obj:
+            self.obj, self.obj_rhs, self.obj_den = _eliminate(
+                self.obj, self.obj_rhs, self.obj_den, prow, prhs, c)
         self.basis[r] = c
 
-    def run(self, allowed) -> str:
-        """Maximize until no allowed column has positive reduced cost.
+    def run(self, n_allowed: int) -> str:
+        """Maximize until no column below n_allowed has positive reduced
+        cost.
 
         Bland's rule: entering column is the smallest-index one with
-        positive reduced cost; the leaving row minimizes the ratio, ties
-        broken by the smallest basic variable index.
+        positive reduced cost; the leaving row minimizes the ratio
+        rhs / entry (the row denominator cancels, so ints are compared
+        crosswise), ties broken by the smallest basic variable index.
         """
         while True:
-            enter = None
-            for j in range(self.ncols):
-                if allowed[j] and self.obj[j] > 0:
-                    enter = j
-                    break
+            enter = min((j for j, v in self.obj.items()
+                         if v > 0 and j < n_allowed), default=None)
             if enter is None:
                 return "optimal"
             leave = None
-            best = None
+            best_rhs = best_a = 0
             for i, row in enumerate(self.rows):
-                a = row[enter]
+                a = row.get(enter, 0)
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
-                        leave = i
+                    left, right = self.rhs[i] * best_a, best_rhs * a
+                    if leave is None or left < right or (
+                            left == right and self.basis[i] < self.basis[leave]):
+                        leave, best_rhs, best_a = i, self.rhs[i], a
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter)
+
+    def value_of(self, r: int) -> Fraction:
+        return Fraction(self.rhs[r], self.den[r])
+
+    def reduced_cost(self, c: int) -> Fraction:
+        return Fraction(self.obj.get(c, 0), self.obj_den)
 
 
 def solve_lp(lp: LinearProgram) -> LPResult:
@@ -295,7 +342,9 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     returned as well (used for column pricing elsewhere).
     """
     dim = lp.dim()
-    for row, _ in list(lp.eq_constraints) + list(lp.ineq_constraints):
+    n_eq, nslack = len(lp.eq_constraints), len(lp.ineq_constraints)
+    constraints = list(lp.eq_constraints) + list(lp.ineq_constraints)
+    for row, _ in constraints:
         if len(row) != dim:
             raise InputError(
                 f"constraint row of length {len(row)} does not match objective of length {dim}")
@@ -314,109 +363,76 @@ def solve_lp(lp: LinearProgram) -> LPResult:
             col_of_var.append((nstruct, nstruct + 1))
             nstruct += 2
 
-    def expand(row):
-        out = [Fraction(0)] * nstruct
+    def sparse(row) -> dict:
+        out = {}
         for i, coef in enumerate(row):
-            c = rat(coef)
-            if c == 0:
-                continue
-            p, m = col_of_var[i]
-            out[p] += c
-            if m is not None:
-                out[m] -= c
+            if coef:
+                c = rat(coef)
+                p, m = col_of_var[i]
+                out[p] = c
+                if m is not None:
+                    out[m] = -c
         return out
 
-    m_eq = len(lp.eq_constraints)
-    m_ineq = len(lp.ineq_constraints)
-    nslack = m_ineq
-    rows = []
-    rhs = []
-    kinds = []  # per row: "eq" or "ineq", in original order (eq first)
-    for row, b in lp.eq_constraints:
-        rows.append(expand(row))
-        rhs.append(rat(b))
-        kinds.append("eq")
-    for row, b in lp.ineq_constraints:
-        rows.append(expand(row))
-        rhs.append(rat(b))
-        kinds.append("ineq")
-
-    # attach slack columns for inequalities
-    for i, r in enumerate(rows):
-        slacks = [Fraction(0)] * nslack
-        rows[i] = r + slacks
-    si = 0
-    for i, kind in enumerate(kinds):
-        if kind == "ineq":
-            rows[i][nstruct + si] = Fraction(1)
-            si += 1
-
-    # normalize rhs >= 0 (negating the whole slack-augmented equation)
-    row_sign = [Fraction(1)] * len(rows)
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-            row_sign[i] = Fraction(-1)
-
-    # initial basis: slack where it has coefficient +1, else artificial
-    nart = 0
+    # rows are scaled to ints: equalities first, then inequalities, whose
+    # slack columns follow the structural ones
+    art_base = nstruct + nslack
+    rows, rhs, den, basis = [], [], [], []
+    row_sign = []
     art_col_of_row = {}
-    basis = []
-    for i, kind in enumerate(kinds):
-        slack_col = None
-        for j in range(nstruct, nstruct + nslack):
-            if rows[i][j] == 1:
-                slack_col = j
-                break
-        if kind == "ineq" and slack_col is not None:
-            basis.append(slack_col)
+    for i, (row, b) in enumerate(constraints):
+        coefs = sparse(row)
+        ints, scale = int_scaled([*coefs.values(), rat(b)])
+        irow = dict(zip(coefs, ints))  # zip leaves out the rhs, ints[-1]
+        irhs = ints[-1]
+        slack = nstruct + i - n_eq if i >= n_eq else None
+        if slack is not None:
+            irow[slack] = scale
+        # normalize rhs >= 0 (negating the whole slack-augmented equation)
+        sign = -1 if irhs < 0 else 1
+        if sign < 0:
+            irow = {j: -v for j, v in irow.items()}
+            irhs = -irhs
+        row_sign.append(sign)
+        # initial basis: slack where it has coefficient +1, else artificial
+        if slack is not None and sign > 0:
+            basis.append(slack)
         else:
-            art_col_of_row[i] = nstruct + nslack + nart
-            basis.append(nstruct + nslack + nart)
-            nart += 1
-    ncols = nstruct + nslack + nart
-    for i in range(len(rows)):
-        arts = [Fraction(0)] * nart
-        rows[i] = rows[i] + arts
-        if i in art_col_of_row:
-            rows[i][art_col_of_row[i]] = Fraction(1)
+            art = art_base + len(art_col_of_row)
+            art_col_of_row[i] = art
+            irow[art] = scale
+            basis.append(art)
+        irow, irhs, d = _reduce(irow, irhs, scale)
+        rows.append(irow)
+        rhs.append(irhs)
+        den.append(d)
 
-    tab = _Tableau(rows, rhs, ncols)
-    tab.basis = basis
+    tab = _Tableau(rows, rhs, den, basis)
+    ncols = art_base + len(art_col_of_row)
 
-    art_cols = set(art_col_of_row.values())
-    allowed_all = [True] * ncols
-
-    if nart:
+    if art_col_of_row:
         # phase 1: maximize -sum(artificials)
-        phase1 = [Fraction(0)] * ncols
-        for c in art_cols:
-            phase1[c] = Fraction(-1)
-        tab.set_objective(phase1)
-        status = tab.run(allowed_all)
-        if status != "optimal" or tab.obj_const != 0:
+        tab.set_objective({c: -1 for c in art_col_of_row.values()})
+        status = tab.run(ncols)
+        if status != "optimal" or tab.obj_rhs != 0:
             return LPResult(status="infeasible")
         # drive artificials out of the basis where possible; redundant rows
         # keep a zero-valued artificial basic, which is harmless once the
         # artificial columns are barred from re-entering
         for r in range(len(tab.rows)):
-            if tab.basis[r] in art_cols and tab.rhs[r] == 0:
-                for j in range(nstruct + nslack):
-                    if tab.rows[r][j] != 0:
-                        tab.pivot(r, j)
-                        break
+            if tab.basis[r] >= art_base and tab.rhs[r] == 0:
+                j = min((k for k in tab.rows[r] if k < art_base), default=None)
+                if j is not None:
+                    tab.pivot(r, j)
 
-    allowed = [j not in art_cols for j in range(ncols)]
-    objective = expand(lp.objective) + [Fraction(0)] * (nslack + nart)
-    tab.set_objective(objective)
-    status = tab.run(allowed)
+    tab.set_objective(sparse(lp.objective))
+    status = tab.run(art_base)
     if status == "unbounded":
         return LPResult(status="unbounded")
 
     values = [Fraction(0)] * ncols
     for r, b in enumerate(tab.basis):
-        values[b] = tab.rhs[r]
+        values[b] = tab.value_of(r)
     witness = []
     for i in range(dim):
         p, m = col_of_var[i]
@@ -428,19 +444,11 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     # and the slack sign flip cancels the row sign flip, so an ineq dual is
     # always -obj[slack].  Equality duals read off the artificial column,
     # which was attached after normalization, so the row sign reappears.
-    eq_duals = []
-    ineq_duals = []
-    si = 0
-    for i, kind in enumerate(kinds):
-        if kind == "eq":
-            col = art_col_of_row[i]
-            eq_duals.append(-row_sign[i] * tab.obj[col])
-        else:
-            col = nstruct + si
-            si += 1
-            ineq_duals.append(-tab.obj[col])
+    eq_duals = tuple(-row_sign[i] * tab.reduced_cost(art_col_of_row[i])
+                     for i in range(n_eq))
+    ineq_duals = tuple(-tab.reduced_cost(nstruct + k) for k in range(nslack))
     return LPResult(status="optimal", value=value, witness=witness,
-                    eq_duals=tuple(eq_duals), ineq_duals=tuple(ineq_duals))
+                    eq_duals=eq_duals, ineq_duals=ineq_duals)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +474,8 @@ def enumerate_vertices(ineq_constraints, dimension: int,
     # integer-scaled copies make the containment filter cheap
     int_cons = []
     for row, b in cons:
-        scale = 1
-        for v in list(row) + [b]:
-            scale = scale * v.denominator // gcd_int(scale, v.denominator)
-        int_cons.append(([int(v * scale) for v in row], int(b * scale)))
+        ints, _scale = int_scaled(row + (b,))
+        int_cons.append((ints[:-1], ints[-1]))
     seen = set()
     out = []
     for subset in combinations(range(len(cons)), dimension):
@@ -478,11 +484,8 @@ def enumerate_vertices(ineq_constraints, dimension: int,
         sol = solve_square(mat, rhs)
         if sol is None or sol in seen:
             continue
-        lcm = 1
-        for v in sol:
-            lcm = lcm * v.denominator // gcd_int(lcm, v.denominator)
-        scaled = [int(v * lcm) for v in sol]
-        if all(sum(a * x for a, x in zip(row, scaled)) <= b * lcm
+        scaled, scale = int_scaled(sol)
+        if all(sum(a * x for a, x in zip(row, scaled)) <= b * scale
                for row, b in int_cons):
             seen.add(sol)
             out.append(sol)

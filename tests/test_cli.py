@@ -164,3 +164,49 @@ def test_json_output_byte_identical(capsys):
                             "a b a^-1 b^-1")
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_malformed_config_json_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{bound: 3")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "compute",
+                           "a b a^-1 b^-1")
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+def test_ill_typed_config_is_input_error(tmp_path, capsys):
+    for data in ({"bound": "x"}, {"bound": True}, {"stabilize": 1},
+                 {"output": "xml"}, [1, 2]):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "--config", str(cfg), "compute",
+                               "a b a^-1 b^-1")
+        assert code == 2, data
+        assert err.startswith("input error:")
+
+
+def test_malformed_collapse_file_is_input_error(tmp_path, capsys):
+    for text in ("[[1, 2]", '{"vectors": [[1, "x"]]}', '{"vectors": [[1, 2], [3]]}',
+                 '{"other": []}'):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        code, _, err = run_cli(capsys, "gadget", "collapse", "--file",
+                               str(inst), "--usage-bound", "2")
+        assert code == 2, text
+        assert err.startswith("input error:")
+
+
+def test_negative_disc_bound_is_input_error(capsys):
+    code, _, err = run_cli(capsys, "discs", "a b a^-1 b^-1", "--disc-bound", "-1")
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+def test_collapse_file_still_accepted(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"vectors": [[1, 0], [0, 1]]}))
+    code, out, _ = run_cli(capsys, "--output", "json", "gadget", "collapse",
+                           "--file", str(inst), "--usage-bound", "2")
+    assert code == 0
+    assert json.loads(out)["collapsed"] == [1, 5]

@@ -184,3 +184,22 @@ def test_basis_change_leaves_value_unchanged():
     rows[0] = [a + b for a, b in zip(rows[0], rows[1])]
     other = make_word(3, rows, w.y.rows)
     assert scl(other).value == scl(w).value
+
+
+def test_clear_caches_empties_every_memo():
+    import sclflow
+    from sclflow import cones, engine
+
+    sclflow.clear_caches()
+    assert sclflow.cache_info() == {"scl_lp": 0, "disc_vectors": 0,
+                                    "lp_columns": 0}
+    sclflow.scl(parse_word("a b a^-1 b^-1"))
+    info = sclflow.cache_info()
+    assert info["scl_lp"] > 0 and info["disc_vectors"] > 0 and info["lp_columns"] > 0
+    assert info == {"scl_lp": len(engine._SCL_LP_CACHE),
+                    "disc_vectors": len(cones._DISC_CACHE),
+                    "lp_columns": len(cones._COLUMN_CACHE)}
+    sclflow.clear_caches()
+    assert not (engine._SCL_LP_CACHE or cones._DISC_CACHE or cones._COLUMN_CACHE)
+    assert sclflow.cache_info() == {"scl_lp": 0, "disc_vectors": 0,
+                                    "lp_columns": 0}

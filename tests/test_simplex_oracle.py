@@ -1,0 +1,131 @@
+"""The sparse integer simplex against the dense Fraction reference.
+
+Both follow Bland's rule, so they pivot in the same order and must agree
+exactly on status, value, witness and duals, not just on the optimum.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_simplex import solve_lp_dense
+
+from sclflow import engine
+from sclflow.bounds import universal_word
+from sclflow.engine import clear_caches, scl
+from sclflow.linprog import make_lp, solve_lp
+from sclflow.words import parse_word
+
+F = Fraction
+
+
+def assert_same(lp):
+    got, want = solve_lp(lp), solve_lp_dense(lp)
+    assert got.status == want.status
+    assert got.value == want.value
+    assert got.witness == want.witness
+    assert got.eq_duals == want.eq_duals
+    assert got.ineq_duals == want.ineq_duals
+    return got
+
+
+def _coef(rng, frac):
+    v = rng.randint(-3, 3)
+    if frac and rng.random() < 0.4:
+        return F(v, rng.randint(1, 4))
+    return F(v)
+
+
+def _random_lp(rng, frac=False, eqs=0, free=False, neg_rhs=False, redundant=False):
+    nvars = rng.randint(1, 5)
+    row = lambda: [_coef(rng, frac) for _ in range(nvars)]  # noqa: E731
+    lo = -4 if neg_rhs else 0
+    ineq = [(row(), _coef(rng, frac) + rng.randint(lo, 4))
+            for _ in range(rng.randint(0, 5))]
+    # homogeneous equalities leave zero-valued artificials basic
+    eq = [(row(), rng.choice([0, rng.randint(lo, 4)])) for _ in range(eqs)]
+    if redundant and eq:
+        # a multiple of an equality, or the sum of two: a redundant row
+        # keeps its artificial basic at zero after phase 1
+        r, b = eq[0]
+        k = F(rng.choice([-2, -1, 2, 3]), rng.choice([1, 2]))
+        eq.append(([k * c for c in r], k * b))
+        if len(eq) > 2:
+            (r1, b1), (r2, b2) = eq[0], eq[1]
+            eq.append(([c1 + c2 for c1, c2 in zip(r1, r2)], b1 + b2))
+    mask = [rng.random() < 0.7 for _ in range(nvars)] if free else None
+    return make_lp(row(), eq=eq, ineq=ineq, nonneg=mask)
+
+
+def test_seeded_ineq_lps():
+    rng = random.Random(11)
+    for _ in range(150):
+        assert_same(_random_lp(rng))
+
+
+def test_seeded_fraction_coefficients_and_negative_rhs():
+    rng = random.Random(12)
+    for _ in range(150):
+        assert_same(_random_lp(rng, frac=True, neg_rhs=True))
+
+
+def test_seeded_equalities_and_free_variables():
+    rng = random.Random(13)
+    for _ in range(150):
+        assert_same(_random_lp(rng, frac=True, eqs=rng.randint(1, 3),
+                               free=True, neg_rhs=True))
+
+
+def test_seeded_redundant_equalities_drive_out():
+    rng = random.Random(14)
+    statuses = set()
+    for _ in range(150):
+        res = assert_same(_random_lp(rng, frac=True, eqs=rng.randint(1, 3),
+                                     free=True, neg_rhs=True, redundant=True))
+        statuses.add(res.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_redundant_equality_keeps_artificial_basic():
+    # x + y = 2 twice, and x - y = 0: one row is redundant
+    lp = make_lp([1, 2], eq=[([1, 1], 2), ([2, 2], 4), ([1, -1], 0)],
+                 ineq=[([1, 0], 5)])
+    res = assert_same(lp)
+    assert res.status == "optimal" and res.witness == (F(1), F(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3),
+       st.booleans(), st.booleans(), st.booleans())
+def test_random_lps_match_reference(seed, frac, eqs, free, neg_rhs, redundant):
+    rng = random.Random(seed)
+    assert_same(_random_lp(rng, frac=frac, eqs=eqs, free=free,
+                           neg_rhs=neg_rhs, redundant=redundant))
+
+
+def test_scl_lps_match_reference(monkeypatch):
+    # every LP the scl engine builds is solved identically by both
+    # simplices; a low column-generation threshold sends the (1,1,1) word
+    # through integer pricing, which must reach the direct LP's value
+    seen = []
+
+    def checked(lp):
+        seen.append(lp.dim())
+        return assert_same(lp)
+
+    monkeypatch.setattr(engine, "solve_lp", checked)
+    sweep_word = parse_word("a^-3 b^-1 a b a b^-1 a b")
+    clear_caches()
+    try:
+        assert scl(parse_word("a b a^-1 b^-1")).value == F(1, 2)
+        assert scl(universal_word(3), bound=2).value == F(1, 2)
+        direct = scl(sweep_word, bound=2, stabilize=False).value
+        direct_lps = len(seen)
+        clear_caches()
+        monkeypatch.setattr(engine, "_CG_DIRECT_THRESHOLD", 20)
+        monkeypatch.setattr(engine, "_CG_BATCH", 6)
+        assert scl(sweep_word, bound=2, stabilize=False).value == direct
+    finally:
+        clear_caches()
+    assert len(seen) - direct_lps > 2  # several column-generation rounds
