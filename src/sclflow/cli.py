@@ -51,6 +51,10 @@ def _config_from_args(args) -> RunConfig:
         data = _load_json(args.config)
         if not isinstance(data, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(data) - set(_CONFIG_TYPES))
+        if unknown:
+            raise InputError(f"{args.config}: unknown config keys {unknown}; "
+                             f"known keys are {sorted(_CONFIG_TYPES)}")
         for key, typ in _CONFIG_TYPES.items():
             if key in data:
                 # exact type: JSON true/false must not pass for an int

@@ -5,7 +5,9 @@ row: sum_j z[i][j] * outflow_j(f).  The cone V(z) collects the flows with
 vanishing weight; its nonzero integral members with strongly connected
 support are the disc vectors D(z).  This module enumerates disc vectors up
 to an outflow bound, classifies essential and extremal members, and
-extracts the extremal rays of the cone.
+extracts the extremal rays of the cone by the double-description method:
+the orthant of flow coordinates is cut by one conservation or weight
+equation at a time, in integers, with a combinatorial adjacency test.
 
 The weight of a flow depends only on its outflow vector, so V(z) is
 determined by the row space of z; enumerations are memoized under the
@@ -22,14 +24,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, LimitExceeded
 from .graphs import Flow, outflow_vector
-from .linprog import (
-    affine_solution,
-    enumerate_vertices,
-    int_scaled,
-    nullspace,
-    rat,
-    rref,
-)
+from .linprog import int_scaled, rat, rref
 from .words import ExponentMatrix, matrix, validate_Mn
 
 DISC_N_LIMIT = 8
@@ -460,62 +455,55 @@ def is_extremal(spec: ConeSpec, d: Flow, n_max: int = 2) -> ExtremalityReport:
 def extremal_rays(spec: ConeSpec, n_limit: int = RAY_N_LIMIT) -> list[Flow]:
     """Primitive integral generators of the extremal rays of the cone.
 
-    The cone is pointed (it sits in the nonnegative orthant), so its rays
-    are the vertices of the total-mass-one cross-section; those are found
-    by exact vertex enumeration after reducing to the affine hull.
+    Double description (Motzkin et al., in the form of Fukuda and Prodon's
+    "Double description method revisited"): start from the n*n unit rays of
+    the nonnegative orthant of flow coordinates and cut with one homogeneous
+    equation at a time, first conservation at each vertex, then each weight
+    row.  At each cut the rays on the hyperplane stay, and every adjacent
+    pair p, q with a.p > 0 > a.q adds (a.p)*q - (a.q)*p, the point where
+    their 2-face crosses it.  Each intermediate cone lies in the orthant, so
+    it is pointed and its only inequalities are the sign constraints; p and
+    q are then adjacent exactly when no other ray has its support inside
+    supp(p) | supp(q).  Supports are int bitmasks, arithmetic is on ints, and
+    every new ray is divided by the gcd of its entries.
     """
     if spec.n > n_limit:
         raise LimitExceeded(f"ray extraction limited to n <= {n_limit}")
     n = spec.n
     dim = n * n
-
-    def var(i, j):
-        return i * n + j
-
-    eq_rows = []
-    rhs = []
+    cuts = []
     for i in range(n):  # conservation: outflow_i - inflow_i = 0
-        row = [Fraction(0)] * dim
+        row = [0] * dim
         for j in range(n):
-            row[var(i, j)] += 1
-            row[var(j, i)] -= 1
-        eq_rows.append(row)
-        rhs.append(Fraction(0))
+            row[i * n + j] += 1
+            row[j * n + i] -= 1
+        cuts.append(row)
     for zrow in spec.rows:  # weight row: sum_j z_j * outflow_j = 0
-        row = [Fraction(0)] * dim
-        for j in range(n):
-            for k in range(n):
-                row[var(j, k)] += zrow[j]
-        eq_rows.append(row)
-        rhs.append(Fraction(0))
-    row = [Fraction(1)] * dim  # cross-section: total mass 1
-    eq_rows.append(row)
-    rhs.append(Fraction(1))
-
-    x0 = affine_solution(eq_rows, rhs, dim)
-    if x0 is None:
-        return []
-    basis = nullspace(eq_rows, dim)
-    d = len(basis)
-    # f = x0 + basis . y >= 0   <=>   -(basis_j) . y <= x0_j per coordinate
-    ineqs = []
-    for coord in range(dim):
-        rowv = tuple(-b[coord] for b in basis)
-        ineqs.append((rowv, x0[coord]))
-    verts = enumerate_vertices(ineqs, d)
-    rays = []
-    seen = set()
-    for y in verts:
-        f = [x0[c] + sum(b[c] * yv for b, yv in zip(basis, y)) for c in range(dim)]
-        ints, _scale = int_scaled(f)
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g:
-            ints = [v // g for v in ints]
-        entries = tuple(tuple(ints[var(i, j)] for j in range(n)) for i in range(n))
-        if entries not in seen:
-            seen.add(entries)
-            rays.append(Flow(n, entries))
-    rays.sort(key=lambda fl: fl.entries)
-    return rays
+        cuts.append([z for z in zrow for _k in range(n)])
+    # a ray is (support bitmask, entries); start from the orthant's unit rays
+    rays = [(1 << c, tuple(int(k == c) for k in range(dim))) for c in range(dim)]
+    for cut in cuts:
+        ints, _scale = int_scaled(cut)  # a ConeSpec may hold rational rows
+        terms = [(c, a) for c, a in enumerate(ints) if a]
+        kept, pos, neg = [], [], []
+        for ray in rays:
+            dot = sum(a * ray[1][c] for c, a in terms)
+            if dot == 0:
+                kept.append(ray)
+            else:
+                (pos if dot > 0 else neg).append((dot, ray))
+        masks = [mask for mask, _ in rays]
+        for dp, (mp, p) in pos:
+            for dq, (mq, q) in neg:
+                union = mp | mq
+                # adjacent: no ray besides p and q has support in the union
+                if sum(1 for m in masks if m | union == union) > 2:
+                    continue
+                combo = [dp * x - dq * y for x, y in zip(q, p)]
+                g = gcd(*combo)
+                kept.append((union, tuple(v // g for v in combo)))
+        rays = kept
+    flows = [Flow(n, tuple(entries[i * n:(i + 1) * n] for i in range(n)))
+             for _mask, entries in rays]
+    flows.sort(key=lambda fl: fl.entries)
+    return flows

@@ -7,12 +7,12 @@ makes it deterministic for a fixed input.  Inside, it works on a sparse
 integer tableau: each row is a map from column to nonzero int plus an int
 rhs over one positive int denominator, and pivots are fraction-free
 (Edmonds) eliminations that touch only the rows with an entry in the pivot
-column.  `solve_square` eliminates fraction-free as well (Bareiss), and
-`int_scaled` is the one place rationals are brought to a common
-denominator.
+column.  `solve_square_int` solves square integer systems fraction-free
+as well (Bareiss), and `int_scaled` is the one place rationals are brought
+to a common denominator.
 
-A brute-force vertex enumerator doubles as an independent oracle for the
-simplex and as the engine behind extremal-ray extraction.
+A brute-force vertex enumerator serves as an independent oracle for the
+simplex.
 """
 
 from __future__ import annotations
@@ -92,16 +92,18 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]
     return tuple(out)
 
 
-def solve_square(mat: Sequence[Sequence[Fraction]],
-                 rhs: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
-    """Solve a square system exactly; None if the matrix is singular.
+def solve_square_int(aug: Sequence[Sequence[int]]) -> Optional[tuple[tuple[int, ...], int]]:
+    """Solve a square integer system given as augmented rows [a_1 .. a_n, b];
+    None if the matrix is singular.
 
-    Rows are scaled to integers and eliminated fraction-free (Bareiss),
-    which is several times faster than rational Gaussian elimination.
+    Fraction-free (Bareiss) elimination, then fraction-free back
+    substitution: with D the last pivot, +-det of the matrix, D times the
+    solution is integral (Cramer), so every division is exact.  Returns
+    the solution as (numerators, denominator), divided by their gcd and
+    with a positive denominator, so equal solutions give equal results.
     """
-    n = len(mat)
-    aug = [int_scaled([rat(x) for x in row] + [rat(rhs[i])])[0]
-           for i, row in enumerate(mat)]
+    n = len(aug)
+    aug = [list(row) for row in aug]  # eliminate on copies: callers reuse rows
     prev = 1
     for col in range(n):
         pr = None
@@ -120,59 +122,30 @@ def solve_square(mat: Sequence[Sequence[Fraction]],
             for j in range(col, n + 1):
                 arow[j] = (arow[j] * pivot - f * crow[j]) // prev
         prev = pivot
-    sol: list[Fraction] = [Fraction(0)] * n
+    den = prev
+    nums = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
+        row = aug[i]
+        acc = den * row[n]
         for j in range(i + 1, n):
-            acc -= aug[i][j] * sol[j]
-        sol[i] = acc / aug[i][i]
-    return tuple(sol)
+            acc -= row[j] * nums[j]
+        nums[i] = acc // row[i]
+    g = gcd_int(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(v // g for v in nums), den // g
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : row . x = 0 for all rows}, in R^dim."""
-    red = rref(rows)
-    pivots = []
-    for row in red:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
-    free = [j for j in range(dim) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * dim
-        vec[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def affine_solution(rows: Sequence[Sequence[Fraction]],
-                    rhs: Sequence[Fraction],
-                    dim: int) -> Optional[tuple[Fraction, ...]]:
-    """One particular solution of rows . x = rhs, or None if inconsistent."""
-    aug = [list(map(rat, row)) + [rat(b)] for row, b in zip(rows, rhs)]
-    red = rref(aug)
-    sol = [Fraction(0)] * dim
-    for row in red:
-        lead = None
-        for j in range(dim):
-            if row[j] != 0:
-                lead = j
-                break
-        if lead is None:
-            if row[dim] != 0:
-                return None
-            continue
-        # back-substitution is unnecessary: rref rows already reduced
-        sol[lead] = row[dim]
-    # verify (free variables set to zero may interact with non-reduced cols)
-    for row, b in zip(rows, rhs):
-        if sum(rat(c) * s for c, s in zip(row, sol)) != rat(b):
-            return None
-    return tuple(sol)
+def solve_square(mat: Sequence[Sequence[Fraction]],
+                 rhs: Sequence[Fraction]) -> Optional[tuple[Fraction, ...]]:
+    """Solve a square rational system exactly; None if the matrix is
+    singular.  Each row is scaled to integers for `solve_square_int`."""
+    sol = solve_square_int([int_scaled([*map(rat, row), rat(b)])[0]
+                            for row, b in zip(mat, rhs)])
+    if sol is None:
+        return None
+    nums, den = sol
+    return tuple(Fraction(v, den) for v in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +425,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
 
 # ---------------------------------------------------------------------------
-# Vertex enumeration (independent oracle, and ray extraction backend)
+# Vertex enumeration (independent oracle for the simplex)
 # ---------------------------------------------------------------------------
 
 def enumerate_vertices(ineq_constraints, dimension: int,
@@ -471,23 +444,19 @@ def enumerate_vertices(ineq_constraints, dimension: int,
     for row, _ in cons:
         if len(row) != dimension:
             raise InputError("constraint dimension mismatch")
-    # integer-scaled copies make the containment filter cheap
-    int_cons = []
-    for row, b in cons:
-        ints, _scale = int_scaled(row + (b,))
-        int_cons.append((ints[:-1], ints[-1]))
+    # augmented integer rows [a_1 .. a_d, b], scaled once
+    aug_rows = [int_scaled(row + (b,))[0] for row, b in cons]
     seen = set()
     out = []
-    for subset in combinations(range(len(cons)), dimension):
-        mat = [cons[i][0] for i in subset]
-        rhs = [cons[i][1] for i in subset]
-        sol = solve_square(mat, rhs)
+    for subset in combinations(aug_rows, dimension):
+        sol = solve_square_int(subset)
         if sol is None or sol in seen:
             continue
-        scaled, scale = int_scaled(sol)
-        if all(sum(a * x for a, x in zip(row, scaled)) <= b * scale
-               for row, b in int_cons):
-            seen.add(sol)
-            out.append(sol)
+        seen.add(sol)
+        nums, den = sol
+        # zip stops at len(nums), so row[-1], the rhs, is left out of the sum
+        if all(sum(a * x for a, x in zip(row, nums)) <= row[-1] * den
+               for row in aug_rows):
+            out.append(tuple(Fraction(v, den) for v in nums))
     out.sort()
     return out

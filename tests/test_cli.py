@@ -1,6 +1,11 @@
 import json
 
+from reference_rays import support_nullity
+
 from sclflow.cli import main
+from sclflow.cones import cone_spec, in_cone
+from sclflow.graphs import flow_from_json
+from sclflow.words import parse_word
 
 
 def run_cli(capsys, *argv):
@@ -210,3 +215,31 @@ def test_collapse_file_still_accepted(tmp_path, capsys):
                            "--file", str(inst), "--usage-bound", "2")
     assert code == 0
     assert json.loads(out)["collapsed"] == [1, 5]
+
+
+def test_unknown_config_keys_are_input_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"bund": 1, "outptu": "json"}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "compute",
+                             "a b a^-1 b^-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "'bund'" in err and "'outptu'" in err
+
+
+def test_rays_command_five_blocks(capsys):
+    # n = 5 is within the ray limit; the rank test checks every ray
+    word = "a b a b a b a b a^-4 b^-4"
+    code, out, _ = run_cli(capsys, "--output", "json", "rays", word)
+    assert code == 0
+    data = json.loads(out)
+    w = parse_word(word)
+    spec = cone_spec(w.n, w.x.rows)
+    assert spec.n == 5
+    rays = [flow_from_json(r) for r in data["rays"]]
+    assert data["count"] == len(rays) > 0
+    assert len({r.entries for r in rays}) == len(rays)
+    for r in rays:
+        assert in_cone(spec, r)
+        assert support_nullity(spec, r.entries) == 1

@@ -15,6 +15,8 @@ from sclflow.linprog import (
     rat_to_json,
     rref,
     solve_lp,
+    solve_square,
+    solve_square_int,
 )
 
 F = Fraction
@@ -85,6 +87,28 @@ def test_vertices_triangle():
 def test_vertices_dimension_refusal():
     with pytest.raises(LimitExceeded):
         enumerate_vertices([([1] * 13, 1)], 13)
+
+
+def test_solve_square_exact_on_random_systems():
+    rng = random.Random(913)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        mat = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+               for _ in range(n)]
+        rhs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+        sol = solve_square(mat, rhs)
+        if sol is None:
+            assert len(rref(mat)) < n
+            continue
+        assert all(sum(a * x for a, x in zip(row, sol)) == b
+                   for row, b in zip(mat, rhs))
+
+
+def test_solve_square_int_is_normalized():
+    # x = 1/2, y = 1/4 from integer rows, scaled by -2 and 6
+    nums, den = solve_square_int([[-4, 0, -2], [0, 24, 6]])
+    assert (nums, den) == ((2, 1), 4)
+    assert solve_square_int([[1, 2, 3], [2, 4, 5]]) is None
 
 
 def _random_bounded_lp(rng, nvars, ncons):
