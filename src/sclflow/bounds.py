@@ -28,56 +28,67 @@ class VanishingCertificate:
         return sum(self.lam)
 
 
+def vanishing_combinations(vectors, max_weight: int,
+                           first_only: bool) -> list[tuple[int, ...]]:
+    """Nonzero lam >= 0 of total weight at most max_weight with
+    sum_j lam_j * vectors[j] = 0 in every coordinate: the first witness of
+    the least weight, or every witness, by ascending weight.
+
+    Positions are searched big-magnitude first, so partial sums that the
+    remaining entries cannot cancel die immediately: weight w of remaining
+    coefficients moves each coordinate by at most w times the largest
+    remaining magnitude in it.
+    """
+    n = len(vectors)
+    k = len(vectors[0]) if vectors else 0
+    order = sorted(range(n),
+                   key=lambda j: -max((abs(c) for c in vectors[j]), default=0))
+    vecs = [vectors[j] for j in order]
+    suffix_abs = [tuple(max((abs(v[c]) for v in vecs[j:]), default=0)
+                        for c in range(k))
+                  for j in range(n + 1)]
+    lam = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def rec(j, left, partial):
+        """False once the search should stop."""
+        if j == n:
+            if left == 0 and not any(partial):
+                witness = [0] * n
+                for pos, i in enumerate(order):
+                    witness[i] = lam[pos]
+                found.append(tuple(witness))
+                return not first_only
+            return True
+        cap = suffix_abs[j]
+        if any(abs(p) > left * cap[c] for c, p in enumerate(partial)):
+            return True
+        for v in range(left + 1):
+            lam[j] = v
+            keep_going = rec(j + 1, left - v,
+                             tuple(p + v * vecs[j][c] for c, p in enumerate(partial)))
+            lam[j] = 0
+            if not keep_going:
+                return False
+        return True
+
+    zero = (0,) * k
+    for weight in range(1, max_weight + 1):
+        if not rec(0, weight, zero):
+            break
+    return found
+
+
 def min_vanishing(x: ExponentMatrix) -> tuple[int, VanishingCertificate]:
     """Least total weight p of a nonzero lam >= 0 with lam . row = 0 for
     every row, plus one witness attaining it.  Weight n always works (the
-    all-ones vector), so the level search terminates.
-
-    The level search prunes through partial sums: weight w of remaining
-    coefficients moves each row sum by at most w times the largest
-    remaining magnitude in that row.
-    """
+    all-ones vector), so the level search terminates."""
     if not validate_Mn(x):
         raise InputError("matrix violates a membership condition")
-    n = x.n
-    nrows = len(x.rows)
-    # big-magnitude columns first: once one is picked, small suffixes
-    # cannot cancel it and the branch dies immediately
-    order = sorted(range(n),
-                   key=lambda j: -max(abs(row[j]) for row in x.rows))
-    rows = tuple(tuple(row[j] for j in order) for row in x.rows)
-    suffix_abs = []
-    for j in range(n + 1):
-        suffix_abs.append(tuple(max((abs(row[i]) for i in range(j, n)), default=0)
-                                for row in rows))
-    lam = [0] * n
-
-    def rec(j, left, partial):
-        if j == n:
-            if left == 0 and all(p == 0 for p in partial):
-                return tuple(lam)
-            return None
-        cap = suffix_abs[j]
-        if any(abs(p) > left * cap[r] for r, p in enumerate(partial)):
-            return None
-        for v in range(left + 1):
-            lam[j] = v
-            got = rec(j + 1, left - v,
-                      tuple(p + v * rows[r][j] for r, p in enumerate(partial)))
-            if got:
-                return got
-            lam[j] = 0
-        return None
-
-    zero = tuple(0 for _ in range(nrows))
-    for w in range(1, n + 1):
-        got = rec(0, w, zero)
-        if got:
-            witness = [0] * n
-            for pos, j in enumerate(order):
-                witness[j] = got[pos]
-            return w, VanishingCertificate(tuple(witness))
-    raise AssertionError("unreachable: the all-ones vector annihilates all rows")
+    found = vanishing_combinations(tuple(zip(*x.rows)), x.n, first_only=True)
+    if not found:
+        raise AssertionError("unreachable: the all-ones vector annihilates all rows")
+    return sum(found[0]), VanishingCertificate(found[0])
 
 
 def lower_bound(w: Word) -> Fraction:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import le
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, LimitExceeded
@@ -30,7 +31,6 @@ from .words import ExponentMatrix, matrix, validate_Mn
 DISC_N_LIMIT = 8
 DISC_BOUND_LIMIT = 6
 RAY_N_LIMIT = 5
-ESSENTIAL_FILTER_THRESHOLD = 1200
 
 
 @dataclass(frozen=True)
@@ -66,52 +66,45 @@ def in_cone(spec: ConeSpec, f: Flow) -> bool:
         all(v == 0 for v in weight_vector(spec, f))
 
 
-def _support_strongly_connected(entries, n: int) -> bool:
-    """Strong connectivity of the support digraph of an n x n matrix, with
-    the flow fact that weak connectivity suffices verified on the way."""
-    adj = [[] for _ in range(n)]
-    radj = [[] for _ in range(n)]
-    verts = set()
-    for i in range(n):
-        row = entries[i]
-        for j in range(n):
-            if row[j]:
-                adj[i].append(j)
-                radj[j].append(i)
-                verts.add(i)
-                verts.add(j)
-    if not verts:
+def _support_strongly_connected(edges) -> bool:
+    """Strong connectivity of the digraph spanned by the support edges
+    (tail, head), with the flow fact that weak connectivity suffices
+    verified on the way."""
+    adj: dict[int, list[int]] = {}
+    radj: dict[int, list[int]] = {}
+    for t, h in edges:
+        adj.setdefault(t, []).append(h)
+        radj.setdefault(h, []).append(t)
+    if not adj:
         return False
-    start = next(iter(verts))
+    verts = adj.keys() | radj.keys()
+    start = next(iter(adj))
 
     def reach(adjacency):
         seen = {start}
         todo = [start]
         while todo:
             v = todo.pop()
-            for w in adjacency[v]:
+            for w in adjacency.get(v, ()):
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
         return seen
 
-    fwd = reach(adj)
-    strong = verts <= fwd and verts <= reach(radj)
-    weak = True
+    strong = verts <= reach(adj) and verts <= reach(radj)
     if not strong:
-        und = [a + r for a, r in zip(adj, radj)]
-        weak = verts <= reach(und)
-    if weak != strong:
-        # a conserved flow's support cannot be weakly but not strongly
-        # connected; reaching this line would falsify that fact
-        raise InternalCheckError("flow support weakly but not strongly connected")
+        both = {v: adj.get(v, []) + radj.get(v, []) for v in verts}
+        if verts <= reach(both):
+            # a conserved flow's support cannot be weakly but not strongly
+            # connected; reaching this line would falsify that fact
+            raise InternalCheckError("flow support weakly but not strongly connected")
     return strong
 
 
 def is_disc_vector(spec: ConeSpec, f: Flow) -> bool:
     """Nonzero, integral, in the cone, with strongly connected support."""
     return (not f.is_zero() and f.is_integral() and in_cone(spec, f)
-            and _support_strongly_connected(f.entries, f.n))
+            and _support_strongly_connected(f.support_edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -182,69 +175,43 @@ def enumerate_disc_vectors(spec: ConeSpec, bound: int,
     found = []
     for o in sorted(_annihilating_outflows(spec, bound)):
         for entries in _iter_tables(o):
-            if _support_strongly_connected(entries, n):
+            support = [(i, j) for i, row in enumerate(entries)
+                       for j, v in enumerate(row) if v]
+            if _support_strongly_connected(support):
                 found.append(Flow(n, entries))
     result = tuple(found)
     _DISC_CACHE[key] = result
     return result
 
 
-def _hamiltonian_subcycle_exists(entries, n: int) -> bool:
-    """Is there a single directed cycle through all n vertices inside the
-    support?  Backtracking; n is small."""
-    def extend(v, visited):
-        row = entries[v]
-        for w in range(n):
-            if row[w]:
-                if w == 0 and len(visited) == n:
-                    return True
-                if w not in visited:
-                    visited.add(w)
-                    if extend(w, visited):
-                        return True
-                    visited.remove(w)
-        return False
-
-    return extend(0, {0})
-
-
-def _constant_outflows_only(spec: ConeSpec, bound: int) -> bool:
-    return all(len(set(o)) == 1
-               for o in _annihilating_outflows(spec, bound))
-
-
 def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
-    """Disc vectors thinned to a set that preserves every packing-LP value.
+    """The essential disc vectors up to the bound, sorted by entries: those
+    with no other disc vector entrywise below them.  They preserve every
+    packing-LP value.
 
     Dropping d is sound whenever d = e + v with e a disc vector and v a
     nonzero cone member, since any expression through d rewrites through e
-    with the same coefficient sum.  Small sets get the exact essential
-    filter; constant-outflow cones get the Hamiltonian-subcycle test; very
-    large irregular sets are returned unfiltered (only performance suffers).
+    with the same coefficient sum; for a disc vector e <= d other than d,
+    v = d - e is such a member.  The discs are scanned by increasing mass,
+    and d is kept unless a kept vector lies below it: domination is
+    transitive, so the kept vectors alone find every dominated disc.
+    Supports are compared as int bitmasks before the entries are.
     """
     key = (spec.key(), bound)
     hit = _COLUMN_CACHE.get(key)
     if hit is not None:
         return hit
-    discs = enumerate_disc_vectors(spec, bound)
-    if len(discs) <= ESSENTIAL_FILTER_THRESHOLD:
-        mass = {f: sum(v for r in f.entries for v in r) for f in discs}
-        by_mass = sorted(discs, key=lambda f: (mass[f], f.entries))
-        kept = []
-        for d in by_mass:
-            dominated = any(mass[e] < mass[d] and e.leq(d) for e in by_mass)
-            if not dominated:
-                kept.append(d)
-        result = tuple(sorted(kept, key=lambda f: f.entries))
-    elif _constant_outflows_only(spec, bound):
-        kept = []
-        for d in discs:
-            c = d.outflow(0)
-            if c <= 1 or not _hamiltonian_subcycle_exists(d.entries, spec.n):
-                kept.append(d)
-        result = tuple(kept)
-    else:
-        result = discs
+    discs = sorted(enumerate_disc_vectors(spec, bound),
+                   key=lambda f: (sum(map(sum, f.entries)), f.entries))
+    kept = []  # (support mask, flat entries, disc) of the minimal vectors so far
+    for d in discs:
+        values = tuple(v for row in d.entries for v in row)
+        mask = sum(1 << pos for pos, v in enumerate(values) if v)
+        # a kept e has mass at most d's, and e <= d at equal mass means e = d
+        if not any(me & ~mask == 0 and all(map(le, ve, values))
+                   for me, ve, _e in kept):
+            kept.append((mask, values, d))
+    result = tuple(sorted((d for _m, _v, d in kept), key=lambda f: f.entries))
     _COLUMN_CACHE[key] = result
     return result
 
@@ -346,33 +313,6 @@ def _vals_in_cone(spec, edges, vals):
     return all(sum(z * oj for z, oj in zip(row, o)) == 0 for row in spec.rows)
 
 
-def _vals_connected(edges, vals) -> bool:
-    sup = [(e, v) for e, v in zip(edges, vals) if v]
-    if not sup:
-        return False
-    adj: dict[int, list[int]] = {}
-    radj: dict[int, list[int]] = {}
-    verts = set()
-    for (t, h), _ in sup:
-        adj.setdefault(t, []).append(h)
-        radj.setdefault(h, []).append(t)
-        verts.update((t, h))
-    start = next(iter(verts))
-
-    def reach(a):
-        seen = {start}
-        todo = [start]
-        while todo:
-            v = todo.pop()
-            for w in a.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
-    return verts <= reach(adj) and verts <= reach(radj)
-
-
 def is_essential(spec: ConeSpec, d: Flow) -> bool:
     """No way to write d = e + v with e a disc vector and v a nonzero cone
     member.  Any such e satisfies e <= d entrywise, so the search space is
@@ -384,7 +324,8 @@ def is_essential(spec: ConeSpec, d: Flow) -> bool:
     for vals in iter_bounded_flows(edges, caps):
         if not any(vals) or list(vals) == caps:
             continue
-        if _vals_in_cone(spec, edges, vals) and _vals_connected(edges, vals):
+        if _vals_in_cone(spec, edges, vals) and _support_strongly_connected(
+                [e for e, v in zip(edges, vals) if v]):
             return False
     return True
 

@@ -7,12 +7,13 @@ Unit outflow plus the pairing identity make every cone condition automatic,
 so the feasible v_A are exactly the doubly stochastic n x n matrices and
 v_B is the entrywise image (v_B)[k][i] = (v_A)[i][k+1 mod n].
 
-Disc-vector columns are generated lazily: a restricted LP is solved and
-seeded with new columns of positive reduced cost until none remain, which
-certifies the optimum over the full column set.  Truncation to outflow
-bound B can only shrink the admissible decompositions, so the computed
-value is always an upper bound for scl, reported as `stabilized` only when
-two consecutive bounds agree.
+The columns of each side are the essential disc vectors up to the outflow
+bound (`cones.lp_columns`), and every LP runs column generation: a
+restricted LP is solved and seeded with new columns of positive reduced
+cost until none remain, which certifies the optimum over the full column
+set.  Truncation to outflow bound B can only shrink the admissible
+decompositions, so the computed value is always an upper bound for scl,
+reported as `stabilized` only when two consecutive bounds agree.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .words import Word
 
 SCL_N_LIMIT = 6
 DEFAULT_BOUND = 3
-_CG_DIRECT_THRESHOLD = 260
 _CG_BATCH = 120
 
 
@@ -55,6 +55,14 @@ def is_paired(v_a: Flow, v_b: Flow) -> bool:
 # Packing LP with lazy column generation
 # ---------------------------------------------------------------------------
 
+def _sparse_columns(discs, offset: int = 0) -> list[dict[int, int]]:
+    """Each disc vector as a packing column {row: coefficient}: entry (i, j)
+    of an n x n disc lands in row offset + i*n + j."""
+    return [{offset + i * d.n + j: int(v)
+             for i, row in enumerate(d.entries) for j, v in enumerate(row) if v}
+            for d in discs]
+
+
 def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
                    column_groups):
     """Maximize fixed_obj . a + sum(t) subject to
@@ -65,13 +73,15 @@ def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
     `capacity_rows` maps each packing row to a linear form in the fixed
     variables (list of (var index, coef)) plus a constant.  Each column in
     `column_groups` is a sparse map {row index: coef} with objective 1.
+
+    Every call runs column generation (Gilmore-Gomory): the restricted LP
+    starts from the lightest columns of each group and takes in, each
+    round, the _CG_BATCH columns of largest positive reduced cost.  Once no
+    column prices in, its optimum is optimal over every column.
     Returns (LPResult over all columns, list of active column ids).
     """
     ncap = len(capacity_rows)
-    all_cols = []  # (group, index_in_group, sparse dict)
-    for gi, group in enumerate(column_groups):
-        for ci, col in enumerate(group):
-            all_cols.append((gi, ci, col))
+    all_cols = [col for group in column_groups for col in group]
 
     def build_lp(active_ids):
         nvar = n_fixed + len(active_ids)
@@ -86,26 +96,22 @@ def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
             for vi, cf in terms:
                 coefs[vi] -= cf  # move capacity to the left: t - cap <= const
             for k, cid in enumerate(active_ids):
-                cf = all_cols[cid][2].get(r)
+                cf = all_cols[cid].get(r)
                 if cf:
                     coefs[n_fixed + k] = Fraction(cf)
             ineqs.append((coefs, const))
         obj = list(fixed_obj) + [Fraction(1)] * len(active_ids)
         return make_lp(obj, eq=eqs, ineq=ineqs)
 
-    if len(all_cols) <= _CG_DIRECT_THRESHOLD:
-        active = list(range(len(all_cols)))
-        res = solve_lp(build_lp(active))
-        return res, active
-
     # start with the lightest columns per group (deterministic)
     active = []
-    for gi, group in enumerate(column_groups):
-        cheapest = _cheapest_mass(group)
-        light = [cid for cid, (g, _c, col) in enumerate(all_cols)
-                 if g == gi and sum(col.values()) <= cheapest]
+    first = 0
+    for group in column_groups:
+        masses = [sum(col.values()) for col in group]
+        cheapest = min(masses, default=0)
+        light = [first + ci for ci, m in enumerate(masses) if m <= cheapest]
         active.extend(light[:_CG_BATCH])
-    active = sorted(set(active)) or [0]
+        first += len(group)
 
     while True:
         res = solve_lp(build_lp(active))
@@ -117,7 +123,7 @@ def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
         duals, scale = int_scaled(res.ineq_duals)
         active_set = set(active)
         violating = []
-        for cid, (_gi, _ci, col) in enumerate(all_cols):
+        for cid, col in enumerate(all_cols):
             if cid in active_set:
                 continue
             rc = scale - sum(duals[r] * cf for r, cf in col.items())
@@ -127,10 +133,6 @@ def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
             return res, active
         violating.sort(key=lambda p: (-p[0], p[1]))
         active = sorted(active_set | {cid for _rc, cid in violating[:_CG_BATCH]})
-
-
-def _cheapest_mass(group):
-    return min((sum(col.values()) for col in group), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +149,7 @@ def klein_value(spec: ConeSpec, v: Flow, bound: int) -> Fraction:
     if not in_cone(spec, v):
         raise InputError("flow is not in the cone of this spec")
     n = spec.n
-    cols = lp_columns(spec, bound)
-    columns = []
-    for d in cols:
-        sparse = {}
-        for i in range(n):
-            for j in range(n):
-                if d.entries[i][j]:
-                    sparse[i * n + j] = int(d.entries[i][j])
-        columns.append(sparse)
+    columns = _sparse_columns(lp_columns(spec, bound))
     capacity = [((), Fraction(v.entries[r // n][r % n])) for r in range(n * n)]
     res, _active = _solve_packing([], [], 0, [], capacity, [columns])
     if res.status != "optimal":
@@ -248,22 +242,10 @@ def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
     cols_x = lp_columns(spec_x, bound)
     cols_y = lp_columns(spec_y, bound)
 
-    def sparse_cols(cols, row_of_entry):
-        out = []
-        for d in cols:
-            sp = {}
-            for i in range(n):
-                for j in range(n):
-                    v = d.entries[i][j]
-                    if v:
-                        sp[row_of_entry(i, j)] = int(v)
-            out.append(sp)
-        return out
-
     # packing rows 0..nn-1: side A at entry (i, j) capped by a[i][j]
     # packing rows nn..2nn-1: side B at entry (k, i) capped by a[i][k+1 mod n]
-    col_group_a = sparse_cols(cols_x, lambda i, j: i * n + j)
-    col_group_b = sparse_cols(cols_y, lambda k, i: nn + k * n + i)
+    col_group_a = _sparse_columns(cols_x)
+    col_group_b = _sparse_columns(cols_y, nn)
 
     eq_rows = []
     eq_rhs = []

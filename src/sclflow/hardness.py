@@ -22,6 +22,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
+from .bounds import vanishing_combinations
 from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, is_essential
 from .errors import InputError, InternalCheckError, LimitExceeded, PromiseViolation
 from .graphs import Flow, flow_from_edges, hamiltonian_cycles, zero_flow
@@ -104,60 +105,8 @@ def _solve_binary(vectors, proper: bool) -> SubsetAnswer:
     return SubsetAnswer(False)
 
 
-def _weighted_solutions(vectors, first_only: bool):
-    """Nonzero nonnegative combinations of weight 1..n-1 annihilating every
-    coordinate; first witness or all of them.
-
-    Positions are searched big-magnitude first so partial sums that the
-    remaining entries cannot cancel die immediately.
-    """
-    n = len(vectors)
-    k = len(vectors[0]) if vectors else 0
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: -max(abs(c) for c in vectors[i]))
-    vecs = [vectors[i] for i in order]
-    suffix_abs = []
-    for i in range(n + 1):
-        suffix_abs.append(tuple(max((abs(v[c]) for v in vecs[i:]), default=0)
-                                for c in range(k)))
-    lam = [0] * n
-    found: list[tuple[int, ...]] = []
-
-    def unpermute(values):
-        out = [0] * n
-        for pos, i in enumerate(order):
-            out[i] = values[pos]
-        return tuple(out)
-
-    def rec(i, left, partial):
-        if i == n:
-            if left == 0 and all(p == 0 for p in partial):
-                found.append(unpermute(lam))
-                return not first_only
-            return True
-        cap = suffix_abs[i]
-        if any(abs(p) > left * cap[c] for c, p in enumerate(partial)):
-            return True
-        for v in range(left + 1):
-            lam[i] = v
-            nxt = tuple(p + v * vecs[i][c] for c, p in enumerate(partial))
-            keep_going = rec(i + 1, left - v, nxt)
-            lam[i] = 0
-            if not keep_going:
-                return False
-        return True
-
-    for weight in range(1, n):
-        if not rec(0, weight, _zero(k)):
-            break
-        if first_only and found:
-            break
-    return found
-
-
 def _solve_varssp(vectors) -> SubsetAnswer:
-    got = _weighted_solutions(vectors, first_only=True)
+    got = vanishing_combinations(vectors, len(vectors) - 1, first_only=True)
     if got:
         return SubsetAnswer(True, got[0])
     return SubsetAnswer(False)
@@ -278,17 +227,13 @@ class TableWitnessReport:
                 and self.alphas_solve_base)
 
 
-def _all_varssp_witnesses(vectors) -> list[tuple[int, ...]]:
-    """Every weight-below-n witness, by exhausting weight levels."""
-    return _weighted_solutions(vectors, first_only=False)
-
-
 def verify_table_properties(table: ReductionTable) -> list[TableWitnessReport]:
     """Check the five structural facts on every weighted witness the table
     admits (the table is designed so each one is forced)."""
     n = table.n
     reports = []
-    for lam in _all_varssp_witnesses(table.columns):
+    columns = table.columns
+    for lam in vanishing_combinations(columns, len(columns) - 1, first_only=False):
         lam_alpha = lam[:n]
         lam_beta = lam[n:2 * n]
         lam_p, lam_q = lam[2 * n], lam[2 * n + 1]

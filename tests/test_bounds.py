@@ -14,6 +14,7 @@ from sclflow.bounds import (
     sample_generic_word,
     universal_word,
     upper_bound_C,
+    vanishing_combinations,
 )
 from sclflow.errors import InputError
 from sclflow.words import make_word, matrix, parse_word
@@ -60,6 +61,25 @@ def test_min_vanishing_matches_brute_force():
         assert p == brute_min_vanishing(m.rows, n)
         assert sum(cert.lam) == p
         assert all(sum(l * z for l, z in zip(cert.lam, row)) == 0 for row in m.rows)
+
+
+def test_vanishing_combinations_all_mode_matches_brute_force():
+    from itertools import product as iproduct
+
+    rng = random.Random(23)
+    for _ in range(40):
+        n, k = rng.randint(1, 5), rng.randint(1, 2)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)]
+        top = rng.randint(0, n)
+        got = vanishing_combinations(vectors, top, first_only=False)
+        want = {lam for lam in iproduct(range(top + 1), repeat=n)
+                if 0 < sum(lam) <= top
+                and all(sum(l * v[c] for l, v in zip(lam, vectors)) == 0
+                        for c in range(k))}
+        assert sorted(got) == sorted(want) and len(got) == len(want)
+        assert [sum(lam) for lam in got] == sorted(sum(lam) for lam in got)
+        first = vanishing_combinations(vectors, top, first_only=True)
+        assert first == got[:1]
 
 
 def test_min_vanishing_range():

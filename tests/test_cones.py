@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sclflow.cones import (
+    _support_strongly_connected,
     cone_spec,
     enumerate_disc_vectors,
     extremal_rays,
@@ -15,7 +16,7 @@ from sclflow.cones import (
     lp_columns,
     weight_vector,
 )
-from sclflow.errors import LimitExceeded
+from sclflow.errors import InternalCheckError, LimitExceeded
 from sclflow.graphs import Flow, abstract_graph, cycle_flow, isomorphic, mdgraph, zero_flow
 from sclflow.linprog import make_lp, solve_lp
 
@@ -104,6 +105,59 @@ def test_lp_columns_preserve_klein_values():
                 ineq.append((row, Fraction(v.entries[i][j])))
         res = solve_lp(make_lp([1] * len(full), ineq=ineq))
         assert res.value == kv
+
+
+def brute_minimal(discs):
+    """The <=-minimal discs, each compared with every disc: bit k of
+    at_most[pos][v] says that disc k has entry pos at most v, so the AND
+    over d's entries is the set of discs below d."""
+    flat = [tuple(v for row in d.entries for v in row) for d in discs]
+    top = max(max(f) for f in flat)
+    at_most = [[sum(1 << k for k, f in enumerate(flat) if f[pos] <= v)
+                for v in range(top + 1)] for pos in range(len(flat[0]))]
+    minimal = []
+    for k, f in enumerate(flat):
+        below = (1 << len(flat)) - 1
+        for pos, v in enumerate(f):
+            below &= at_most[pos][v]
+        if below == 1 << k:
+            minimal.append(discs[k])
+    return sorted(minimal, key=lambda d: d.entries)
+
+
+@pytest.mark.parametrize("n,rows,bound", [
+    (4, [[-3, 1, 1, 1]], 3),  # the (1,1,1) sweep word's a-side
+    (4, [[-1, 1, -1, 1]], 3),  # the sweep's b-side
+    (4, [[2, -1, 1, -2], [1, 1, 0, -2]], 2),
+])
+def test_lp_columns_are_the_minimal_discs(n, rows, bound):
+    spec = cone_spec(n, rows)
+    discs = enumerate_disc_vectors(spec, bound)
+    assert list(lp_columns(spec, bound)) == brute_minimal(discs)
+
+
+def test_lp_columns_random_cone_are_the_essential_discs():
+    rng = random.Random(11)
+    row = [0]
+    while 0 in row:
+        row = [rng.randint(-3, 3) for _ in range(3)]
+        row.append(-sum(row))
+    spec = cone_spec(4, [row])
+    discs = enumerate_disc_vectors(spec, 2)
+    cols = lp_columns(spec, 2)
+    assert list(cols) == brute_minimal(discs)
+    assert [d for d in discs if is_essential(spec, d)] == \
+        sorted(cols, key=discs.index)
+    assert len(cols) < len(discs)
+
+
+def test_support_connectivity_checks_the_flow_fact():
+    assert _support_strongly_connected([(0, 1), (1, 2), (2, 0), (1, 1)])
+    assert not _support_strongly_connected([(0, 1), (1, 0), (2, 2)])
+    assert not _support_strongly_connected([])
+    # weakly but not strongly connected: no conserved flow has this support
+    with pytest.raises(InternalCheckError):
+        _support_strongly_connected([(0, 1), (1, 0), (1, 2)])
 
 
 def test_is_essential_minimal_vector():

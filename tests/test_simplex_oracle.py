@@ -13,6 +13,7 @@ from reference_simplex import solve_lp_dense
 
 from sclflow import engine
 from sclflow.bounds import universal_word
+from sclflow.cones import cone_spec, enumerate_disc_vectors
 from sclflow.engine import clear_caches, scl
 from sclflow.linprog import make_lp, solve_lp
 from sclflow.words import parse_word
@@ -104,10 +105,43 @@ def test_random_lps_match_reference(seed, frac, eqs, free, neg_rhs, redundant):
                            neg_rhs=neg_rhs, redundant=redundant))
 
 
+def _value_over_all_discs(word, bound):
+    """scl at the bound from one LP over every disc vector of both cones:
+    no thinning and no column generation."""
+    n = word.n
+    nn = n * n
+    sides = []
+    for rows, cap_var in ((word.x.rows, lambda i, j: i * n + j),
+                          (word.y.rows, lambda k, i: i * n + (k + 1) % n)):
+        sides.append((enumerate_disc_vectors(cone_spec(n, rows), bound), cap_var))
+    nvar = nn + sum(len(discs) for discs, _ in sides)
+    eq = []
+    for i in range(n):  # unit outflow and unit inflow of v_A
+        eq.append(([F(int(r == i)) for r in range(n) for _ in range(n)] +
+                   [F(0)] * (nvar - nn), F(1)))
+        eq.append(([F(int(c == i)) for _ in range(n) for c in range(n)] +
+                   [F(0)] * (nvar - nn), F(1)))
+    ineq = []
+    first = nn
+    for discs, cap_var in sides:  # each entry of a side is capped by v_A
+        for i in range(n):
+            for j in range(n):
+                row = [F(0)] * nvar
+                row[cap_var(i, j)] = F(-1)
+                for k, d in enumerate(discs):
+                    row[first + k] = F(d.entries[i][j])
+                ineq.append((row, F(0)))
+        first += len(discs)
+    res = solve_lp(make_lp([0] * nn + [1] * (nvar - nn), eq=eq, ineq=ineq))
+    assert res.status == "optimal"
+    return (n - res.value) / 2
+
+
 def test_scl_lps_match_reference(monkeypatch):
     # every LP the scl engine builds is solved identically by both
-    # simplices; a low column-generation threshold sends the (1,1,1) word
-    # through integer pricing, which must reach the direct LP's value
+    # simplices; a small batch takes the (1,1,1) word through several
+    # rounds of integer pricing, which must reach the value of one LP over
+    # every unthinned disc vector
     seen = []
 
     def checked(lp):
@@ -115,17 +149,15 @@ def test_scl_lps_match_reference(monkeypatch):
         return assert_same(lp)
 
     monkeypatch.setattr(engine, "solve_lp", checked)
+    monkeypatch.setattr(engine, "_CG_BATCH", 6)
     sweep_word = parse_word("a^-3 b^-1 a b a b^-1 a b")
     clear_caches()
     try:
         assert scl(parse_word("a b a^-1 b^-1")).value == F(1, 2)
         assert scl(universal_word(3), bound=2).value == F(1, 2)
-        direct = scl(sweep_word, bound=2, stabilize=False).value
-        direct_lps = len(seen)
-        clear_caches()
-        monkeypatch.setattr(engine, "_CG_DIRECT_THRESHOLD", 20)
-        monkeypatch.setattr(engine, "_CG_BATCH", 6)
-        assert scl(sweep_word, bound=2, stabilize=False).value == direct
+        before = len(seen)
+        got = scl(sweep_word, bound=2, stabilize=False).value
     finally:
         clear_caches()
-    assert len(seen) - direct_lps > 2  # several column-generation rounds
+    assert len(seen) - before > 2  # several column-generation rounds
+    assert got == _value_over_all_discs(sweep_word, 2)
