@@ -26,6 +26,8 @@ from .bounds import (
 )
 from .cones import (
     ConeSpec,
+    cache_info,
+    clear_caches,
     cone_spec,
     enumerate_disc_vectors,
     extremal_rays,
@@ -37,8 +39,6 @@ from .cones import (
 )
 from .engine import (
     SclResult,
-    cache_info,
-    clear_caches,
     klein_value,
     pair_flow,
     scl,

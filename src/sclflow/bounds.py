@@ -18,6 +18,8 @@ from math import factorial, gcd
 from .errors import InputError
 from .words import ExponentMatrix, Word, make_word, matrix, validate_Mn
 
+GENERIC_MAX_TRIES = 2000
+
 
 @dataclass(frozen=True)
 class VanishingCertificate:
@@ -132,7 +134,7 @@ def generic_check(x: ExponentMatrix) -> bool:
     return p >= x.n
 
 
-def sample_generic_word(n: int, seed: int, max_tries: int = 2000) -> Word:
+def sample_generic_word(n: int, seed: int) -> Word:
     """Deterministic-for-seed rejection sampler for words with generic
     exponent matrices on both sides (n - 1 rows each, full row rank)."""
     if n < 3:
@@ -144,7 +146,7 @@ def sample_generic_word(n: int, seed: int, max_tries: int = 2000) -> Word:
         return len(rref(rows)) == len(rows)
 
     def side():
-        for _ in range(max_tries):
+        for _ in range(GENERIC_MAX_TRIES):
             rows = []
             for _ in range(n - 1):
                 row = [rng.randint(-2, 2) for _ in range(n - 1)]
@@ -157,7 +159,7 @@ def sample_generic_word(n: int, seed: int, max_tries: int = 2000) -> Word:
                 continue
             if generic_check(m):
                 return m.rows
-        raise InputError(f"sampler exceeded {max_tries} tries; widen the range")
+        raise InputError(f"sampler exceeded {GENERIC_MAX_TRIES} tries; widen the range")
 
     return make_word(n, side(), side())
 

@@ -152,9 +152,10 @@ def cmd_generic(args) -> int:
 
     cfg = _config_from_args(args)
     w = sample_generic_word(args.n, cfg.seed)
+    lo = lower_bound(w)
     payload = {"word": render_word(w), "json": word_to_json(w),
-               "lower": rat_to_json(lower_bound(w))}
-    text = f"word: {render_word(w)}\nlower bound: {_fr(lower_bound(w))}"
+               "lower": rat_to_json(lo)}
+    text = f"word: {render_word(w)}\nlower bound: {_fr(lo)}"
     if args.compute:
         res = scl(w, bound=cfg.bound, stabilize=cfg.stabilize)
         payload["scl"] = rat_to_json(res.value)
@@ -308,10 +309,18 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import run_all, scorecard
+    from .acceptance import ALL_CRITERIA, run_all, scorecard
 
     cfg = _config_from_args(args)
-    only = [int(tok) for tok in args.only.split(",")] if args.only else None
+    only = None
+    if args.only:
+        try:
+            only = [int(tok) for tok in args.only.split(",")]
+        except ValueError as exc:
+            raise InputError(f"bad criterion list {args.only!r}") from exc
+        if not set(only) <= set(range(1, len(ALL_CRITERIA) + 1)):
+            raise InputError(f"criterion ids run from 1 to {len(ALL_CRITERIA)}, "
+                             f"got {args.only!r}")
     results = run_all(only=only)
     card = scorecard(results)
     if cfg.output == "json":

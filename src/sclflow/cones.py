@@ -10,12 +10,14 @@ the orthant of flow coordinates is cut by one conservation or weight
 equation at a time, in integers, with a combinatorial adjacency test.
 
 The weight of a flow depends only on its outflow vector, so V(z) is
-determined by the row space of z; enumerations are memoized under the
-reduced row echelon form of z, which canonically represents that space.
+determined by the row space of z; `lp_columns`, the one memo, keys its
+results on the reduced row echelon form of z, which canonically represents
+that space.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,6 +33,7 @@ from .words import ExponentMatrix, matrix, validate_Mn
 DISC_N_LIMIT = 8
 DISC_BOUND_LIMIT = 6
 RAY_N_LIMIT = 5
+COLUMN_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -152,25 +155,15 @@ def _iter_tables(sums: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]
     yield from rec(0, sums, [], total)
 
 
-_DISC_CACHE: dict = {}
-_COLUMN_CACHE: dict = {}
-
-
-def enumerate_disc_vectors(spec: ConeSpec, bound: int,
-                           n_limit: int = DISC_N_LIMIT,
-                           bound_limit: int = DISC_BOUND_LIMIT) -> tuple[Flow, ...]:
+def enumerate_disc_vectors(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
     """Exactly the integral cone members with strongly connected support and
     every outflow <= bound, in a deterministic order."""
-    if spec.n > n_limit:
-        raise LimitExceeded(f"disc enumeration limited to n <= {n_limit}")
+    if spec.n > DISC_N_LIMIT:
+        raise LimitExceeded(f"disc enumeration limited to n <= {DISC_N_LIMIT}")
     if bound < 0:
         raise InputError(f"outflow bound must be nonnegative, got {bound}")
-    if bound > bound_limit:
-        raise LimitExceeded(f"disc enumeration limited to bound <= {bound_limit}")
-    key = (spec.key(), bound)
-    hit = _DISC_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if bound > DISC_BOUND_LIMIT:
+        raise LimitExceeded(f"disc enumeration limited to bound <= {DISC_BOUND_LIMIT}")
     n = spec.n
     found = []
     for o in sorted(_annihilating_outflows(spec, bound)):
@@ -179,9 +172,21 @@ def enumerate_disc_vectors(spec: ConeSpec, bound: int,
                        for j, v in enumerate(row) if v]
             if _support_strongly_connected(support):
                 found.append(Flow(n, entries))
-    result = tuple(found)
-    _DISC_CACHE[key] = result
-    return result
+    return tuple(found)
+
+
+# (row-space key, bound) -> lp_columns result, least recently used first
+_COLUMN_CACHE: OrderedDict = OrderedDict()
+
+
+def clear_caches() -> None:
+    """Empty the memo of `lp_columns`."""
+    _COLUMN_CACHE.clear()
+
+
+def cache_info() -> dict[str, int]:
+    """Number of entries in the memo of `lp_columns`."""
+    return {"lp_columns": len(_COLUMN_CACHE)}
 
 
 def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
@@ -196,10 +201,14 @@ def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
     and d is kept unless a kept vector lies below it: domination is
     transitive, so the kept vectors alone find every dominated disc.
     Supports are compared as int bitmasks before the entries are.
+
+    Memoized under (spec.key(), bound); beyond COLUMN_CACHE_SIZE entries the
+    least recently used one is dropped.
     """
     key = (spec.key(), bound)
     hit = _COLUMN_CACHE.get(key)
     if hit is not None:
+        _COLUMN_CACHE.move_to_end(key)
         return hit
     discs = sorted(enumerate_disc_vectors(spec, bound),
                    key=lambda f: (sum(map(sum, f.entries)), f.entries))
@@ -213,6 +222,8 @@ def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
             kept.append((mask, values, d))
     result = tuple(sorted((d for _m, _v, d in kept), key=lambda f: f.entries))
     _COLUMN_CACHE[key] = result
+    if len(_COLUMN_CACHE) > COLUMN_CACHE_SIZE:
+        _COLUMN_CACHE.popitem(last=False)
     return result
 
 
@@ -393,7 +404,7 @@ def is_extremal(spec: ConeSpec, d: Flow, n_max: int = 2) -> ExtremalityReport:
 # Extremal rays
 # ---------------------------------------------------------------------------
 
-def extremal_rays(spec: ConeSpec, n_limit: int = RAY_N_LIMIT) -> list[Flow]:
+def extremal_rays(spec: ConeSpec) -> list[Flow]:
     """Primitive integral generators of the extremal rays of the cone.
 
     Double description (Motzkin et al., in the form of Fukuda and Prodon's
@@ -408,8 +419,8 @@ def extremal_rays(spec: ConeSpec, n_limit: int = RAY_N_LIMIT) -> list[Flow]:
     supp(p) | supp(q).  Supports are int bitmasks, arithmetic is on ints, and
     every new ray is divided by the gcd of its entries.
     """
-    if spec.n > n_limit:
-        raise LimitExceeded(f"ray extraction limited to n <= {n_limit}")
+    if spec.n > RAY_N_LIMIT:
+        raise LimitExceeded(f"ray extraction limited to n <= {RAY_N_LIMIT}")
     n = spec.n
     dim = n * n
     cuts = []

@@ -14,6 +14,9 @@ cost until none remain, which certifies the optimum over the full column
 set.  Truncation to outflow bound B can only shrink the admissible
 decompositions, so the computed value is always an upper bound for scl,
 reported as `stabilized` only when two consecutive bounds agree.
+Each LP is a deterministic function of its two column sets, which depend
+on the word only through its two row spaces, so the only memo on this path
+is the column memo of `cones.lp_columns`.
 """
 
 from __future__ import annotations
@@ -22,14 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import (
-    _COLUMN_CACHE,
-    _DISC_CACHE,
-    ConeSpec,
-    cone_spec,
-    in_cone,
-    lp_columns,
-)
+from .cones import ConeSpec, cone_spec, in_cone, lp_columns
 from .errors import InputError, InternalCheckError, LimitExceeded
 from .graphs import Flow, flow_to_json
 from .linprog import int_scaled, make_lp, rat_to_json, solve_lp
@@ -209,33 +205,11 @@ class SclResult:
         }
 
 
-_SCL_LP_CACHE: dict = {}
-
-
-def clear_caches() -> None:
-    """Empty the memo caches of scl LPs, disc vectors and LP columns."""
-    _SCL_LP_CACHE.clear()
-    _DISC_CACHE.clear()
-    _COLUMN_CACHE.clear()
-
-
-def cache_info() -> dict[str, int]:
-    """Number of entries in each memo cache."""
-    return {"scl_lp": len(_SCL_LP_CACHE), "disc_vectors": len(_DISC_CACHE),
-            "lp_columns": len(_COLUMN_CACHE)}
-
-
 def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
     """Optimal kappa-sum over paired unit-outflow vectors, with certificate.
 
-    Returns (kappa_sum, certificate builder inputs).  Cached under the two
-    cone keys: the LP depends on the exponent matrices only through their
-    row spaces.
+    Returns (kappa_sum, certificate).
     """
-    cache_key = (spec_x.key(), spec_y.key(), bound)
-    hit = _SCL_LP_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
     n = spec_x.n
     nn = n * n
 
@@ -297,42 +271,39 @@ def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
         v_a=v_a, v_b=v_b,
         side_a=SideDecomposition(tuple(weights_a), tuple(parts_a)),
         side_b=SideDecomposition(tuple(weights_b), tuple(parts_b)))
-    out = (res.value, cert)
-    _SCL_LP_CACHE[cache_key] = out
-    return out
+    return res.value, cert
 
 
-def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True,
-        n_limit: int = SCL_N_LIMIT) -> SclResult:
+def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResult:
     """Upper-bounding scl value at the given truncation bound.
 
     With stabilization on, bounds 1, 2, ... are tried in turn and the
     computation stops at the first pair of consecutive equal values, or as
     soon as the value meets the combinatorial lower bound (larger bounds
     provably cannot move it then); the result is reported as `stabilized`.
-    Otherwise (or if no bound pair agrees) the value at `bound` is reported
-    with the honest `upper_bound` status.
+    If no bound pair agrees, the value at `bound` is reported with the
+    honest `upper_bound` status.  With stabilization off, only the LP at
+    `bound` is solved, and its value is reported as `upper_bound`.
     """
     from .bounds import lower_bound
 
-    if w.n > n_limit:
-        raise LimitExceeded(f"scl computation limited to {n_limit} blocks per side")
+    if w.n > SCL_N_LIMIT:
+        raise LimitExceeded(f"scl computation limited to {SCL_N_LIMIT} blocks per side")
     if bound < 1:
         raise InputError("bound must be at least 1")
     spec_x = cone_spec(w.n, w.x.rows)
     spec_y = cone_spec(w.n, w.y.rows)
     lo = lower_bound(w) if stabilize else None
     prev: Optional[Fraction] = None
-    prev_cert = None
-    for b in range(1, bound + 1):
+    for b in range(1 if stabilize else bound, bound + 1):
         ksum, cert = _scl_lp(spec_x, spec_y, b)
         value = (Fraction(w.n) - ksum) / 2
-        if stabilize and (value == lo or (prev is not None and value == prev)):
+        if stabilize and (value == lo or value == prev):
             return SclResult(value=value, status="stabilized", bound_used=b,
                              certificate=cert, word_blocks=w.n)
-        prev, prev_cert = value, cert
-    return SclResult(value=prev, status="upper_bound", bound_used=bound,
-                     certificate=prev_cert, word_blocks=w.n)
+        prev = value
+    return SclResult(value=value, status="upper_bound", bound_used=bound,
+                     certificate=cert, word_blocks=w.n)
 
 
 def scl_bracket(w: Word, bound: int = DEFAULT_BOUND) -> tuple[Fraction, Fraction]:

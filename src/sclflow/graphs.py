@@ -71,7 +71,7 @@ def graph_from_json(obj) -> MDGraph:
     try:
         return mdgraph(obj["vertices"], obj["edges"],
                        obj.get("weights"), obj.get("flows"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -245,13 +245,13 @@ def is_abstract(g: MDGraph) -> bool:
     return _subdivision_vertex(g) is None
 
 
-def isomorphic(a: MDGraph, b: MDGraph, limit: int = ISO_VERTEX_LIMIT) -> bool:
+def isomorphic(a: MDGraph, b: MDGraph) -> bool:
     """Brute-force isomorphism of MD-graphs, matching weights/flows if both
     carry them.  Desk-scale only."""
     if a.vertex_count != b.vertex_count or len(a.edges) != len(b.edges):
         return False
-    if a.vertex_count > limit:
-        raise LimitExceeded(f"isomorphism search limited to {limit} vertices")
+    if a.vertex_count > ISO_VERTEX_LIMIT:
+        raise LimitExceeded(f"isomorphism search limited to {ISO_VERTEX_LIMIT} vertices")
     use_w = a.weights is not None and b.weights is not None
     use_f = a.flows is not None and b.flows is not None
 
@@ -398,18 +398,18 @@ def flow_from_json(obj) -> Flow:
     try:
         return flow_from_entries(int(obj["n"]),
                                  [[dec(v) for v in row] for row in obj["entries"]])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed flow JSON: {exc}") from exc
 
 
-def hamiltonian_cycles(vertex_subset: Sequence[int], n: int,
-                       limit: int = HAMILTONIAN_LIMIT) -> list[Flow]:
+def hamiltonian_cycles(vertex_subset: Sequence[int], n: int) -> list[Flow]:
     """All directed Hamiltonian cycles on the subset, as unit flows on the
     complete digraph with n vertices.  (|S|-1)! cycles for |S| >= 2; the
     loop for a singleton."""
     subset = sorted(set(vertex_subset))
-    if len(subset) > limit:
-        raise LimitExceeded(f"Hamiltonian enumeration limited to {limit} vertices")
+    if len(subset) > HAMILTONIAN_LIMIT:
+        raise LimitExceeded(
+            f"Hamiltonian enumeration limited to {HAMILTONIAN_LIMIT} vertices")
     if not subset:
         raise InputError("empty vertex subset")
     if any(not 0 <= v < n for v in subset):

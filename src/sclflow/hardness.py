@@ -29,6 +29,7 @@ from .graphs import Flow, flow_from_edges, hamiltonian_cycles, zero_flow
 from .words import Word, make_word
 
 SS_BRUTE_LIMIT = 16
+SCL_PATH_MAX_M = 3  # longest input the reduction answers through scl
 
 VARIANTS = ("SS", "SSP", "VARSSP", "MIXEDSSP", "COSS")
 
@@ -112,14 +113,15 @@ def _solve_varssp(vectors) -> SubsetAnswer:
     return SubsetAnswer(False)
 
 
-def solve_subset(inst: SubsetInstance, limit: int = SS_BRUTE_LIMIT) -> SubsetAnswer:
+def solve_subset(inst: SubsetInstance) -> SubsetAnswer:
     """Exact answers by exhaustive search, with witnesses where they exist.
 
     MIXEDSSP answers through SSP after asserting the promise; a violated
     promise is an input error of its own kind.
     """
-    if inst.n > limit:
-        raise LimitExceeded(f"brute-force subset solving limited to n <= {limit}")
+    if inst.n > SS_BRUTE_LIMIT:
+        raise LimitExceeded(
+            f"brute-force subset solving limited to n <= {SS_BRUTE_LIMIT}")
     if inst.variant == "SS":
         return _solve_binary(inst.vectors, proper=False)
     if inst.variant == "SSP":
@@ -524,8 +526,7 @@ class ReductionTranscript:
         }
 
 
-def reduce_ss_to_smallscl(values: Sequence[int],
-                          scl_path_max_m: int = 3) -> ReductionTranscript:
+def reduce_ss_to_smallscl(values: Sequence[int]) -> ReductionTranscript:
     """Decide SS on `values` by balancing, building one table per r,
     collapsing to integers, and answering each mixed instance through the
     scl threshold procedure (certificates) or, for longer inputs or broken
@@ -537,7 +538,7 @@ def reduce_ss_to_smallscl(values: Sequence[int],
     balanced = append_balance(vals)
     transcript = ReductionTranscript(input_values=vals, balanced=balanced)
     n = balanced.n
-    use_scl = len(vals) <= scl_path_max_m
+    use_scl = len(vals) <= SCL_PATH_MAX_M
     answer = False
     # witness weights come in complementary pairs {s, n-s}, so r beyond
     # n-2 is redundant once n >= 3; at n = 2 the single choice r = 1 stays

@@ -428,8 +428,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 # Vertex enumeration (independent oracle for the simplex)
 # ---------------------------------------------------------------------------
 
-def enumerate_vertices(ineq_constraints, dimension: int,
-                       limit: int = VERTEX_DIM_LIMIT) -> list[tuple[Fraction, ...]]:
+def enumerate_vertices(ineq_constraints, dimension: int) -> list[tuple[Fraction, ...]]:
     """All vertices of {x : row . x <= rhs}, by brute force over bases.
 
     Every vertex of a polyhedron is the unique solution of `dimension`
@@ -437,9 +436,9 @@ def enumerate_vertices(ineq_constraints, dimension: int,
     subsets of that size finds exactly the vertex set.  Deliberately
     independent of solve_lp.
     """
-    if dimension > limit:
+    if dimension > VERTEX_DIM_LIMIT:
         raise LimitExceeded(
-            f"vertex enumeration limited to dimension {limit}, got {dimension}")
+            f"vertex enumeration limited to dimension {VERTEX_DIM_LIMIT}, got {dimension}")
     cons = [(tuple(rat(x) for x in row), rat(b)) for row, b in ineq_constraints]
     for row, _ in cons:
         if len(row) != dimension:

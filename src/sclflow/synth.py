@@ -30,6 +30,9 @@ from .graphs import (
     removable_edge,
 )
 
+STEP2_CHECK_FACTOR = 3  # step 2 brute-forces flows up to this multiple of f
+EXTREMAL_N_MAX = 3  # synthesized points are checked extremal up to this N
+
 
 def step1_flow(g: MDGraph) -> tuple[tuple[int, ...], int]:
     """A positive integral flow with a distinguished edge of value one.
@@ -74,13 +77,12 @@ def lemma_numbers(f_values: Sequence[int]) -> tuple[int, ...]:
     return tuple(base + (m_total + 1) ** j for j in range(k))
 
 
-def step2_weights(g: MDGraph, f_vals: Sequence[int], e_star: int,
-                  check_factor: int = 3) -> tuple[int, ...]:
+def step2_weights(g: MDGraph, f_vals: Sequence[int], e_star: int) -> tuple[int, ...]:
     """Integer edge weights: uniqueness numbers away from the distinguished
     edge, and the balancing negative value on it.
 
     The extremality of the flow in the zero-weight polyhedron is verified
-    by brute force over nonzero integral flows up to check_factor * f: all
+    by brute force over nonzero integral flows up to STEP2_CHECK_FACTOR * f: all
     carry at least one unit on the distinguished edge, and value one there
     forces the whole flow.
     """
@@ -96,7 +98,7 @@ def step2_weights(g: MDGraph, f_vals: Sequence[int], e_star: int,
     if any(abs(w) >= wbound for w in weights):
         raise InternalCheckError("step 2 weights violate their bound")
 
-    caps = [v * check_factor for v in fv]
+    caps = [v * STEP2_CHECK_FACTOR for v in fv]
     for vals in iter_bounded_flows(list(g.edges), caps):
         if not any(vals):
             continue
@@ -216,7 +218,7 @@ def minimal_vertex_weight(g: MDGraph, weights: Sequence[int]) -> tuple[int, ...]
     return tuple([1] * half + [-1] * half)
 
 
-def synthesize_extremal(g: MDGraph, n_max: int = 3) -> SynthesisResult:
+def synthesize_extremal(g: MDGraph) -> SynthesisResult:
     """Full pipeline from a connected graph to a certified extremal point.
 
     The input is canonicalized to its abstract representative first (a
@@ -279,7 +281,7 @@ def synthesize_extremal(g: MDGraph, n_max: int = 3) -> SynthesisResult:
             break
     checks["weight_conservation_window"] = ok_b
 
-    report = is_extremal(spec, flow, n_max=n_max)
+    report = is_extremal(spec, flow, n_max=EXTREMAL_N_MAX)
     checks["extremal_up_to"] = report.extremal_up_to
     checks["extremal"] = report.is_extremal
     checks["scl_polyhedron_containment"] = (

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from reference_rays import support_nullity
 
 from sclflow.cli import main
@@ -243,3 +244,24 @@ def test_rays_command_five_blocks(capsys):
     for r in rays:
         assert in_cone(spec, r)
         assert support_nullity(spec, r.entries) == 1
+
+
+@pytest.mark.parametrize("only", ["x", "1,", "99"])
+def test_bad_verify_criteria_are_input_error(capsys, only):
+    code, out, err = run_cli(capsys, "verify", "--only", only)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("argv, data", [
+    (("synth", "--graph"), {"vertices": "x", "edges": []}),
+    (("synth", "--graph"), {"vertices": 2, "edges": [[0]]}),
+    (("essential", "a b a^-1 b^-1", "--disc"), {"n": 2, "entries": [[1, "a"], [0, 0]]}),
+])
+def test_malformed_graph_or_flow_file_is_input_error(tmp_path, capsys, argv, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("input error:")

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from sclflow import cones
 from sclflow.cones import (
     _support_strongly_connected,
+    cache_info,
+    clear_caches,
     cone_spec,
     enumerate_disc_vectors,
     extremal_rays,
@@ -149,6 +152,24 @@ def test_lp_columns_random_cone_are_the_essential_discs():
     assert [d for d in discs if is_essential(spec, d)] == \
         sorted(cols, key=discs.index)
     assert len(cols) < len(discs)
+
+
+def test_column_memo_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(cones, "COLUMN_CACHE_SIZE", 2)
+    third = cone_spec(3, [[2, -1, -1]])
+    clear_caches()
+    try:
+        first = lp_columns(SPEC2, 1)
+        second = lp_columns(SPEC3, 1)
+        assert lp_columns(SPEC2, 1) is first  # a hit, now the most recent
+        lp_columns(third, 1)  # evicts SPEC3, the least recently used
+        assert cache_info() == {"lp_columns": 2}
+        assert lp_columns(SPEC2, 1) is first
+        again = lp_columns(SPEC3, 1)
+        assert again == second and again is not second
+        assert cache_info() == {"lp_columns": 2}
+    finally:
+        clear_caches()
 
 
 def test_support_connectivity_checks_the_flow_fact():

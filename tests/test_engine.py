@@ -15,7 +15,7 @@ from sclflow.engine import (
 )
 from sclflow.errors import InputError, LimitExceeded
 from sclflow.graphs import Flow, cycle_flow, zero_flow
-from sclflow.words import make_word, parse_word
+from sclflow.words import make_word, parse_word, render_word
 
 F = Fraction
 
@@ -188,18 +188,54 @@ def test_basis_change_leaves_value_unchanged():
 
 def test_clear_caches_empties_every_memo():
     import sclflow
-    from sclflow import cones, engine
+    from sclflow import cones
 
     sclflow.clear_caches()
-    assert sclflow.cache_info() == {"scl_lp": 0, "disc_vectors": 0,
-                                    "lp_columns": 0}
+    assert sclflow.cache_info() == {"lp_columns": 0}
     sclflow.scl(parse_word("a b a^-1 b^-1"))
     info = sclflow.cache_info()
-    assert info["scl_lp"] > 0 and info["disc_vectors"] > 0 and info["lp_columns"] > 0
-    assert info == {"scl_lp": len(engine._SCL_LP_CACHE),
-                    "disc_vectors": len(cones._DISC_CACHE),
-                    "lp_columns": len(cones._COLUMN_CACHE)}
+    assert info["lp_columns"] > 0
+    assert info == {"lp_columns": len(cones._COLUMN_CACHE)}
     sclflow.clear_caches()
-    assert not (engine._SCL_LP_CACHE or cones._DISC_CACHE or cones._COLUMN_CACHE)
-    assert sclflow.cache_info() == {"scl_lp": 0, "disc_vectors": 0,
-                                    "lp_columns": 0}
+    assert not cones._COLUMN_CACHE
+    assert sclflow.cache_info() == {"lp_columns": 0}
+
+
+def test_unstabilized_scl_solves_only_at_its_bound():
+    import sclflow
+    from sclflow import cones
+
+    w = parse_word("a^-3 b^-1 a b a b^-1 a b")
+    sclflow.clear_caches()
+    try:
+        res = scl(w, bound=3, stabilize=False)
+        assert (res.bound_used, res.status) == (3, "upper_bound")
+        assert {bound for _key, bound in cones._COLUMN_CACHE} == {3}
+        sclflow.clear_caches()
+        # bound 7 is refused before any LP at a smaller bound is solved
+        with pytest.raises(LimitExceeded):
+            scl(w, bound=7, stabilize=False)
+        assert sclflow.cache_info() == {"lp_columns": 0}
+    finally:
+        sclflow.clear_caches()
+
+
+def test_certificates_hold_on_answers_served_by_the_memo():
+    # a seeded corpus run back to back with the column memo kept warm, so
+    # later words reuse columns computed for earlier ones; the span-equal
+    # pair of criterion 4 shares both cones outright
+    import sclflow
+    from sclflow.acceptance import _linear_algebra_example_pair
+
+    rng = random.Random(23)
+    corpus = [(_random_word(rng, rng.randint(2, 4)), rng.randint(1, 2))
+              for _ in range(20)]
+    corpus.extend((w, 2) for w in _linear_algebra_example_pair())
+    sclflow.clear_caches()
+    try:
+        for w, bound in corpus:
+            for stabilize in (True, False):
+                res = scl(w, bound=bound, stabilize=stabilize)
+                assert verify_certificate(res, w), (render_word(w), bound, stabilize)
+    finally:
+        sclflow.clear_caches()

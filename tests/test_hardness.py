@@ -240,7 +240,7 @@ def test_reduction_driver_matches_brute_force():
 
 def test_reduction_driver_brute_route_for_long_inputs():
     vals = [1, -2, 3, -2]
-    transcript = reduce_ss_to_smallscl(vals, scl_path_max_m=3)
+    transcript = reduce_ss_to_smallscl(vals)
     assert transcript.answer == brute_ss(vals)
     assert all(s.route == "brute" for s in transcript.steps)
 

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_simplex import solve_lp_dense
 
-from sclflow import engine
+from sclflow import clear_caches, engine
 from sclflow.bounds import universal_word
 from sclflow.cones import cone_spec, enumerate_disc_vectors
-from sclflow.engine import clear_caches, scl
+from sclflow.engine import scl
 from sclflow.linprog import make_lp, solve_lp
 from sclflow.words import parse_word
 
@@ -149,7 +149,7 @@ def test_scl_lps_match_reference(monkeypatch):
         return assert_same(lp)
 
     monkeypatch.setattr(engine, "solve_lp", checked)
-    monkeypatch.setattr(engine, "_CG_BATCH", 6)
+    monkeypatch.setattr(engine, "_CG_BATCH", 3)
     sweep_word = parse_word("a^-3 b^-1 a b a b^-1 a b")
     clear_caches()
     try:
