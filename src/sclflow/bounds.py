@@ -36,45 +36,75 @@ def vanishing_combinations(vectors, max_weight: int,
     sum_j lam_j * vectors[j] = 0 in every coordinate: the first witness of
     the least weight, or every witness, by ascending weight.
 
-    Positions are searched big-magnitude first, so partial sums that the
-    remaining entries cannot cancel die immediately: weight w of remaining
-    coefficients moves each coordinate by at most w times the largest
-    remaining magnitude in it.
+    Each weight level is a depth-first walk over the positions, taken
+    big-magnitude first, trying lam_j = 0, 1, ... in turn.  A node fixes
+    lam on the positions before j and leaves exactly `left` units for
+    positions j..n-1, so the rest of the sum lies between left times the
+    least and left times the greatest remaining entry of each coordinate.
+    Two rules follow from that range:
+
+    1. A node is dead when some partial sum is not the negative of a
+       point in that range.
+    2. For position j, the values of lam_j whose child is alive by rule 1
+       form an interval, found with one integer floor or ceiling per
+       coordinate bound, and only that interval is walked.
+
+    Both rules cut only subtrees that hold no witness and leave the walk
+    order of the others alone, so the first witness and the full list
+    come out exactly as in a walk that tries every value.
     """
     n = len(vectors)
-    k = len(vectors[0]) if vectors else 0
+    if n == 0:
+        return []
     order = sorted(range(n),
                    key=lambda j: -max((abs(c) for c in vectors[j]), default=0))
     vecs = [vectors[j] for j in order]
-    suffix_abs = [tuple(max((abs(v[c]) for v in vecs[j:]), default=0)
-                        for c in range(k))
-                  for j in range(n + 1)]
+    # least and greatest entry of each coordinate over positions j..n-1
+    suffix_lo = [tuple(map(min, zip(*vecs[j:]))) for j in range(n)]
+    suffix_hi = [tuple(map(max, zip(*vecs[j:]))) for j in range(n)]
+    last = n - 1
     lam = [0] * n
     found: list[tuple[int, ...]] = []
 
     def rec(j, left, partial):
         """False once the search should stop."""
-        if j == n:
-            if left == 0 and not any(partial):
-                witness = [0] * n
-                for pos, i in enumerate(order):
-                    witness[i] = lam[pos]
-                found.append(tuple(witness))
-                return not first_only
-            return True
-        cap = suffix_abs[j]
-        if any(abs(p) > left * cap[c] for c, p in enumerate(partial)):
-            return True
-        for v in range(left + 1):
+        vec = vecs[j]
+        if j == last:
+            # the last position takes every unit that is left
+            if any(p + left * a for p, a in zip(partial, vec)):
+                return True
+            witness = [0] * n
+            for pos, i in enumerate(order):
+                witness[i] = lam[pos]
+            witness[order[j]] = left
+            found.append(tuple(witness))
+            return not first_only
+        # the child for lam_j = v has left - v units for positions j+1..,
+        # so it lives iff (left - v) lo <= -(p + v a) <= (left - v) hi,
+        # i.e. v (a - lo) <= -p - left lo and v (hi - a) <= p + left hi
+        vmin, vmax = 0, left
+        for p, a, lo, hi in zip(partial, vec, suffix_lo[j + 1], suffix_hi[j + 1]):
+            for d, r in ((a - lo, -p - left * lo), (hi - a, p + left * hi)):
+                if d > 0:
+                    if r < d * vmax:
+                        vmax = r // d
+                elif d < 0:
+                    if r < d * vmin:
+                        vmin = -(r // -d)
+                elif r < 0:
+                    return True
+            if vmin > vmax:
+                return True
+        for v in range(vmin, vmax + 1):
             lam[j] = v
             keep_going = rec(j + 1, left - v,
-                             tuple(p + v * vecs[j][c] for c, p in enumerate(partial)))
+                             tuple(p + v * a for p, a in zip(partial, vec)))
             lam[j] = 0
             if not keep_going:
                 return False
         return True
 
-    zero = (0,) * k
+    zero = (0,) * len(vecs[0])
     for weight in range(1, max_weight + 1):
         if not rec(0, weight, zero):
             break

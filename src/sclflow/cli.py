@@ -323,11 +323,15 @@ def cmd_verify(args) -> int:
                              f"got {args.only!r}")
     results = run_all(only=only)
     card = scorecard(results)
+    if args.timings:
+        # wall times vary run to run, so they stay out of the default output
+        for entry, r in zip(card["criteria"], results):
+            entry["seconds"] = round(r.seconds, 3)
     if cfg.output == "json":
         print(json.dumps(card, sort_keys=True, separators=(",", ":")))
     else:
         for r in results:
-            print(r.line())
+            print(r.line() + (f" [{r.seconds:.2f} s]" if args.timings else ""))
         print("all passed" if card["all_passed"] else "FAILURES PRESENT")
     return EXIT_OK if card["all_passed"] else EXIT_INTERNAL
 
@@ -427,6 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance scorecard", parents=[common])
     p.add_argument("--only", help="comma-separated criterion ids")
+    p.add_argument("--timings", action="store_true",
+                   help="add each criterion's wall time in seconds")
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -435,6 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every option takes one value, but argparse before Python 3.12 turns
+    # a lone "--" value (as in --values=--) into an empty list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"input error: --{name.replace('_', '-')} needs a value",
+                  file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.fn(args)
     except (InputError,) as exc:

@@ -96,11 +96,12 @@ def _zero(k):
 
 def _solve_binary(vectors, proper: bool) -> SubsetAnswer:
     n = len(vectors)
-    k = len(vectors[0]) if vectors else 0
     top = n - 1 if proper else n
     for size in range(1, top + 1):
-        for idx in combinations(range(n), size):
-            if all(sum(vectors[i][c] for i in idx) == 0 for c in range(k)):
+        # the index and vector combinations come out in the same order
+        for idx, combo in zip(combinations(range(n), size),
+                              combinations(vectors, size)):
+            if not any(map(sum, zip(*combo))):
                 lam = tuple(1 if i in idx else 0 for i in range(n))
                 return SubsetAnswer(True, lam)
     return SubsetAnswer(False)

@@ -265,3 +265,41 @@ def test_malformed_graph_or_flow_file_is_input_error(tmp_path, capsys, argv, dat
     code, _, err = run_cli(capsys, *argv, str(path))
     assert code == 2
     assert err.startswith("input error:")
+
+
+def test_verify_timings_json(capsys):
+    code, plain, _ = run_cli(capsys, "--output", "json", "verify", "--only", "1")
+    assert code == 0
+    assert "seconds" not in plain
+    code, timed, _ = run_cli(capsys, "--output", "json", "verify", "--only", "1",
+                             "--timings")
+    assert code == 0
+    plain_card, timed_card = json.loads(plain), json.loads(timed)
+    (entry,) = timed_card["criteria"]
+    assert isinstance(entry.pop("seconds"), float) and entry["id"] == 1
+    assert timed_card == plain_card
+
+
+def test_verify_timings_text(capsys):
+    code, plain, _ = run_cli(capsys, "verify", "--only", "1")
+    assert code == 0
+    code, timed, _ = run_cli(capsys, "verify", "--only", "1", "--timings")
+    assert code == 0
+    plain_line, plain_tail = plain.splitlines()
+    timed_line, timed_tail = timed.splitlines()
+    assert plain_tail == timed_tail == "all passed"
+    head, sep, suffix = timed_line.rpartition(" [")
+    assert sep and head == plain_line
+    assert suffix.endswith(" s]") and float(suffix[:-3]) >= 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("gadget", "smallscl", "--values=--"),
+    ("synth", "--graph=--"),
+    ("verify", "--only=--"),
+])
+def test_lone_double_dash_value_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")

@@ -53,6 +53,30 @@ def test_solve_varssp_example():
     assert ans.answer and sum(ans.witness) < 4
 
 
+def _first_zero_subset(vectors, top):
+    """The first zero-sum index set by size, then lexicographically."""
+    n, k = len(vectors), len(vectors[0])
+    for size in range(1, top + 1):
+        for idx in combinations(range(n), size):
+            if all(sum(vectors[i][c] for i in idx) == 0 for c in range(k)):
+                return tuple(1 if i in idx else 0 for i in range(n))
+    return None
+
+
+def test_binary_witnesses_match_plain_search():
+    rng = random.Random(12)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 7)
+        vectors = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        balanced = vectors + [[-sum(col) for col in zip(*vectors)]]
+        for variant, vecs, top in (("SS", vectors, n), ("SSP", balanced, n)):
+            ans = solve_subset(instance(variant, vecs))
+            want = _first_zero_subset(vecs, top)
+            assert ans.answer == (want is not None)
+            assert ans.witness == want
+
+
 def test_mixed_promise_violation():
     # SSP false but a weighted solution of weight < n exists
     # (1,1,-2,0,0): wait - find a genuine example by search instead
