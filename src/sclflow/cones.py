@@ -1,13 +1,17 @@
 """Flow cones attached to exponent matrices, and their integral geometry.
 
-For an exponent matrix z, the weight of a flow f has one component per
-row: sum_j z[i][j] * outflow_j(f).  The cone V(z) collects the flows with
-vanishing weight; its nonzero integral members with strongly connected
-support are the disc vectors D(z).  This module enumerates disc vectors up
-to an outflow bound, classifies essential and extremal members, and
-extracts the extremal rays of the cone by the double-description method:
-the orthant of flow coordinates is cut by one conservation or weight
-equation at a time, in integers, with a combinatorial adjacency test.
+For an integer exponent matrix z, the weight of a flow f has one component
+per row: sum_j z[i][j] * outflow_j(f).  The cone V(z) collects the
+conserved flows with vanishing weight; its nonzero integral members with
+strongly connected support are the disc vectors D(z).  One rule on the
+outflow vector, `_weights`, decides membership throughout: in `in_cone`,
+in disc enumeration and in `iter_cone_members`, the bounded members the
+essential, extremal and synthesis checks search.  This module enumerates
+disc vectors up to an outflow bound, classifies essential and extremal
+members, and extracts the extremal rays of the cone by the
+double-description method: the orthant of flow coordinates is cut by one
+conservation or weight equation at a time, in integers, with a
+combinatorial adjacency test.
 
 The weight of a flow depends only on its outflow vector, so V(z) is
 determined by the row space of z; `lp_columns`, the one memo, keys its
@@ -22,12 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import le
+from operator import le, mul
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, LimitExceeded
-from .graphs import Flow, outflow_vector
-from .linprog import int_scaled, rat, rref
+from .graphs import Flow, outflow_vector, reachable
+from .linprog import rref
 from .words import ExponentMatrix, matrix, validate_Mn
 
 DISC_N_LIMIT = 8
@@ -38,12 +42,14 @@ COLUMN_CACHE_SIZE = 256
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Defining rows of a cone on the complete digraph with n vertices."""
+    """Defining integer rows of a cone on the complete digraph with n vertices."""
 
     n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if any(type(z) is not int for row in self.rows for z in row):
+            raise InputError("cone rows must hold integers")
         if not validate_Mn(ExponentMatrix(self.n, self.rows)):
             raise InputError("cone rows violate a membership condition")
 
@@ -56,17 +62,22 @@ def cone_spec(n, rows) -> ConeSpec:
     return ConeSpec(m.n, m.rows)
 
 
+def _weights(spec: ConeSpec, outflows) -> Iterator:
+    """row . outflows for each defining row, lazily: the one membership rule.
+    Integer outflows keep the arithmetic on ints."""
+    return (sum(map(mul, row, outflows)) for row in spec.rows)
+
+
 def weight_vector(spec: ConeSpec, f: Flow) -> tuple[Fraction, ...]:
     """One component per defining row: row . outflow_vector(f)."""
     if f.n != spec.n:
         raise InputError("flow dimension does not match cone")
-    o = outflow_vector(f)
-    return tuple(sum(rat(z) * rat(oj) for z, oj in zip(row, o)) for row in spec.rows)
+    return tuple(map(Fraction, _weights(spec, outflow_vector(f))))
 
 
 def in_cone(spec: ConeSpec, f: Flow) -> bool:
     return f.n == spec.n and f.is_conserved() and \
-        all(v == 0 for v in weight_vector(spec, f))
+        not any(_weights(spec, outflow_vector(f)))
 
 
 def _support_strongly_connected(edges) -> bool:
@@ -82,22 +93,10 @@ def _support_strongly_connected(edges) -> bool:
         return False
     verts = adj.keys() | radj.keys()
     start = next(iter(adj))
-
-    def reach(adjacency):
-        seen = {start}
-        todo = [start]
-        while todo:
-            v = todo.pop()
-            for w in adjacency.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
-    strong = verts <= reach(adj) and verts <= reach(radj)
+    strong = verts <= reachable(adj, start) and verts <= reachable(radj, start)
     if not strong:
         both = {v: adj.get(v, []) + radj.get(v, []) for v in verts}
-        if verts <= reach(both):
+        if verts <= reachable(both, start):
             # a conserved flow's support cannot be weakly but not strongly
             # connected; reaching this line would falsify that fact
             raise InternalCheckError("flow support weakly but not strongly connected")
@@ -115,13 +114,8 @@ def is_disc_vector(spec: ConeSpec, f: Flow) -> bool:
 # ---------------------------------------------------------------------------
 
 def _annihilating_outflows(spec: ConeSpec, bound: int) -> list[tuple[int, ...]]:
-    out = []
-    for o in product(range(bound + 1), repeat=spec.n):
-        if not any(o):
-            continue
-        if all(sum(z * oj for z, oj in zip(row, o)) == 0 for row in spec.rows):
-            out.append(o)
-    return out
+    return [o for o in product(range(bound + 1), repeat=spec.n)
+            if any(o) and not any(_weights(spec, o))]
 
 
 def _iter_tables(sums: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -312,16 +306,17 @@ def iter_bounded_flows(edges: Sequence[tuple[int, int]],
     yield from rec(0)
 
 
-def _edge_outflows(edges, vals, n):
-    o = [0] * n
-    for (t, _h), v in zip(edges, vals):
-        o[t] += v
-    return o
-
-
-def _vals_in_cone(spec, edges, vals):
-    o = _edge_outflows(edges, vals, spec.n)
-    return all(sum(z * oj for z, oj in zip(row, o)) == 0 for row in spec.rows)
+def iter_cone_members(spec: ConeSpec, edges: Sequence[tuple[int, int]],
+                      caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The nonzero flows of `iter_bounded_flows(edges, caps)` that lie in
+    the cone, as value tuples aligned with `edges`."""
+    for vals in iter_bounded_flows(edges, caps):
+        if any(vals):
+            o = [0] * spec.n
+            for (t, _h), v in zip(edges, vals):
+                o[t] += v
+            if not any(_weights(spec, o)):
+                yield vals
 
 
 def is_essential(spec: ConeSpec, d: Flow) -> bool:
@@ -332,10 +327,8 @@ def is_essential(spec: ConeSpec, d: Flow) -> bool:
         raise InputError("essentiality is defined for disc vectors only")
     edges = d.support_edges()
     caps = [int(d.entries[t][h]) for t, h in edges]
-    for vals in iter_bounded_flows(edges, caps):
-        if not any(vals) or list(vals) == caps:
-            continue
-        if _vals_in_cone(spec, edges, vals) and _support_strongly_connected(
+    for vals in iter_cone_members(spec, edges, caps):
+        if list(vals) != caps and _support_strongly_connected(
                 [e for e, v in zip(edges, vals) if v]):
             return False
     return True
@@ -366,11 +359,7 @@ def is_extremal(spec: ConeSpec, d: Flow, n_max: int = 2) -> ExtremalityReport:
     base_edges = d.support_edges()
     for N in range(2, n_max + 1):
         target = [int(d.entries[t][h]) * N for t, h in base_edges]
-        members = []
-        for vals in iter_bounded_flows(base_edges, target):
-            if any(vals) and _vals_in_cone(spec, base_edges, vals):
-                members.append(vals)
-        members.sort()
+        members = sorted(iter_cone_members(spec, base_edges, target))
         member_set = set(members)
         d_vals = tuple(int(d.entries[t][h]) for t, h in base_edges)
 
@@ -435,8 +424,7 @@ def extremal_rays(spec: ConeSpec) -> list[Flow]:
     # a ray is (support bitmask, entries); start from the orthant's unit rays
     rays = [(1 << c, tuple(int(k == c) for k in range(dim))) for c in range(dim)]
     for cut in cuts:
-        ints, _scale = int_scaled(cut)  # a ConeSpec may hold rational rows
-        terms = [(c, a) for c, a in enumerate(ints) if a]
+        terms = [(c, a) for c, a in enumerate(cut) if a]
         kept, pos, neg = [], [], []
         for ray in rays:
             dot = sum(a * ray[1][c] for c, a in terms)

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all sclflow modules.
+"""Exception hierarchy shared by all sclflow modules, and the integer check
+on input values.
 
 The CLI maps these onto exit codes: InputError -> 2, LimitExceeded -> 3,
 InternalCheckError -> 4.
 """
+
+from fractions import Fraction
 
 
 class SclflowError(Exception):
@@ -27,3 +30,13 @@ class LimitExceeded(SclflowError):
 
 class InternalCheckError(SclflowError):
     """An internal invariant that should hold by theorem failed; indicates a bug."""
+
+
+def as_int(v) -> int:
+    """v as an int, for an int (not a bool) or a Fraction with denominator
+    one; anything else, a float among them, is refused, not truncated."""
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise InputError(f"expected an integer, got {v!r}")

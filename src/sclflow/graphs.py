@@ -4,7 +4,11 @@ Two graph-like values live here.  `MDGraph` is a finite multi-digraph
 (parallel edges and loops allowed) with optional per-edge integer weights
 and flow values.  `Flow` is a nonnegative edge function on the complete
 digraph with n vertices (loops included, so an n x n matrix) satisfying
-conservation at every vertex.
+conservation at every vertex.  `mdgraph` and `flow_from_json` refuse a
+non-integer where an integer belongs rather than truncate it.
+
+One search, `reachable`, answers every connectivity question: component
+partitions here and strong connectivity of flow supports in `cones`.
 
 Abstraction repeatedly smooths subdivision vertices: a vertex with exactly
 one incoming and one outgoing edge, the two distinct, merges into a single
@@ -20,7 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalCheckError, LimitExceeded
+from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 
 HAMILTONIAN_LIMIT = 8
 ISO_VERTEX_LIMIT = 8
@@ -52,10 +56,10 @@ class MDGraph:
 
 
 def mdgraph(vertex_count, edges, weights=None, flows=None) -> MDGraph:
-    return MDGraph(int(vertex_count),
-                   tuple((int(t), int(h)) for t, h in edges),
-                   None if weights is None else tuple(int(w) for w in weights),
-                   None if flows is None else tuple(int(f) for f in flows))
+    return MDGraph(as_int(vertex_count),
+                   tuple((as_int(t), as_int(h)) for t, h in edges),
+                   None if weights is None else tuple(map(as_int, weights)),
+                   None if flows is None else tuple(map(as_int, flows)))
 
 
 def graph_to_json(g: MDGraph) -> dict:
@@ -84,79 +88,37 @@ class Connectivity:
     reflexive: bool
 
 
+def reachable(adj, start) -> set:
+    """The vertices reachable from start, start included, along the
+    adjacency mapping adj (vertex -> successors; missing keys have none)."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for w in adj.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
 def connectivity(g: MDGraph) -> Connectivity:
-    """Strong and weak component partitions; reflexive when they coincide."""
+    """Strong and weak component partitions; reflexive when they coincide.
+
+    The strong component of v is what v reaches intersected with what
+    reaches v, the weak component of v what v reaches in the undirected
+    graph; components are sorted.  One search per vertex: O(n (n + m)).
+    """
     n = g.vertex_count
-    out_adj = [[] for _ in range(n)]
-    und_adj = [[] for _ in range(n)]
+    out_adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    und_adj: dict[int, list[int]] = {v: [] for v in range(n)}
     for t, h in g.edges:
         out_adj[t].append(h)
         und_adj[t].append(h)
         und_adj[h].append(t)
-
-    # Tarjan, iterative
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(out_adj[v])):
-                w = out_adj[v][k]
-                if index[w] is None:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-
-    seen = [False] * n
-    weaks: list[list[int]] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        comp = []
-        todo = [root]
-        seen[root] = True
-        while todo:
-            v = todo.pop()
-            comp.append(v)
-            for w in und_adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    todo.append(w)
-        weaks.append(sorted(comp))
-
-    strong = tuple(tuple(c) for c in sorted(sccs))
-    weak = tuple(tuple(c) for c in sorted(weaks))
+    reach = [reachable(out_adj, v) for v in range(n)]
+    strong = tuple(sorted({tuple(w for w in sorted(reach[v]) if v in reach[w])
+                           for v in range(n)}))
+    weak = tuple(sorted({tuple(sorted(reachable(und_adj, v))) for v in range(n)}))
     return Connectivity(
         strong_components=strong,
         weak_components=weak,
@@ -392,13 +354,13 @@ def flow_to_json(f: Flow) -> dict:
 
 def flow_from_json(obj) -> Flow:
     def dec(v):
-        if isinstance(v, dict):
-            return Fraction(int(v["num"]), int(v["den"]))
-        return int(v)
+        if isinstance(v, dict):  # int() of a str refuses "1.5"; of 1.5 it truncates
+            return Fraction(int(str(v["num"])), int(str(v["den"])))
+        return as_int(v)
     try:
-        return flow_from_entries(int(obj["n"]),
+        return flow_from_entries(as_int(obj["n"]),
                                  [[dec(v) for v in row] for row in obj["entries"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed flow JSON: {exc}") from exc
 
 

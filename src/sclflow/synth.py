@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cones import cone_spec, is_disc_vector, is_extremal, iter_bounded_flows
+from .cones import (
+    cone_spec,
+    is_disc_vector,
+    is_extremal,
+    iter_bounded_flows,
+    iter_cone_members,
+)
 from .errors import InputError, InternalCheckError
 from .graphs import (
     Flow,
@@ -150,8 +156,7 @@ def _vertex_budget(g: MDGraph, weights: Sequence[int]) -> tuple[int, int]:
 
 
 def step3_concretize(g: MDGraph, f_vals: Sequence[int], weights: Sequence[int],
-                     vertex_weight: Sequence[int],
-                     with_paths: bool = False):
+                     vertex_weight: Sequence[int]) -> tuple[Flow, list]:
     """Flow on the complete digraph realizing (g, f, w) as its abstraction.
 
     Graph vertex i becomes the i-th +1 vertex.  An edge of weight s becomes
@@ -159,8 +164,8 @@ def step3_concretize(g: MDGraph, f_vals: Sequence[int], weights: Sequence[int],
     stop for s = 0, and |s| + 1 consecutive -1 stops for s < 0; the path
     weight telescopes to s and carries the edge's flow value.
 
-    With with_paths=True also returns, per graph edge, the list of complete
-    digraph edges realizing it.
+    Returns the flow and, per graph edge, the list of complete digraph
+    edges realizing it.
     """
     n = len(vertex_weight)
     plus_pool = [i for i, w in enumerate(vertex_weight) if w == 1]
@@ -203,7 +208,7 @@ def step3_concretize(g: MDGraph, f_vals: Sequence[int], weights: Sequence[int],
         for a, b in steps:
             emit(a, b, amount)
     flow = flow_from_edges(n, edge_values)
-    return (flow, paths) if with_paths else flow
+    return flow, paths
 
 
 def minimal_vertex_weight(g: MDGraph, weights: Sequence[int]) -> tuple[int, ...]:
@@ -236,7 +241,7 @@ def synthesize_extremal(g: MDGraph) -> SynthesisResult:
     f_vals, e_star = step1_flow(canon)
     weights = step2_weights(canon, f_vals, e_star)
     x = minimal_vertex_weight(canon, weights)
-    flow, paths = step3_concretize(canon, f_vals, weights, x, with_paths=True)
+    flow, paths = step3_concretize(canon, f_vals, weights, x)
 
     checks: dict = {}
     ecount = len(canon.edges)
@@ -260,14 +265,7 @@ def synthesize_extremal(g: MDGraph) -> SynthesisResult:
     caps = [3 * int(flow.entries[t][h]) for t, h in support]
     pos_of = {e: k for k, e in enumerate(support)}
     ok_b = True
-    for vals in iter_bounded_flows(support, caps):
-        if not any(vals):
-            continue
-        o = [0] * len(x)
-        for (t, _h), v in zip(support, vals):
-            o[t] += v
-        if sum(xx * oo for xx, oo in zip(x, o)) != 0:
-            continue  # not a cone member
+    for vals in iter_cone_members(spec, support, caps):
         phi = []
         constant = True
         for steps in paths:

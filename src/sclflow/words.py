@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, as_int
 
 _TOKEN_RE = re.compile(r"^([ab])([1-9][0-9]*)?(?:\^(-?[1-9][0-9]*))?$")
 
@@ -38,7 +38,8 @@ class ExponentMatrix:
 
 
 def matrix(n, rows) -> ExponentMatrix:
-    return ExponentMatrix(n, tuple(tuple(int(v) for v in r) for r in rows)).trimmed()
+    rows = tuple(tuple(map(as_int, r)) for r in rows)
+    return ExponentMatrix(as_int(n), rows).trimmed()
 
 
 def validate_Mn(x: ExponentMatrix) -> bool:
@@ -161,6 +162,6 @@ def word_to_json(w: Word) -> dict:
 
 def word_from_json(obj) -> Word:
     try:
-        return make_word(int(obj["n"]), obj["x"], obj["y"])
+        return make_word(obj["n"], obj["x"], obj["y"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed word JSON: {exc}") from exc

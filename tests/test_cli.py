@@ -258,6 +258,12 @@ def test_bad_verify_criteria_are_input_error(capsys, only):
     (("synth", "--graph"), {"vertices": "x", "edges": []}),
     (("synth", "--graph"), {"vertices": 2, "edges": [[0]]}),
     (("essential", "a b a^-1 b^-1", "--disc"), {"n": 2, "entries": [[1, "a"], [0, 0]]}),
+    (("essential", "a b a^-1 b^-1", "--disc"), {"n": 2, "entries": [[0, 1.9], [1.2, 0]]}),
+    (("essential", "a b a^-1 b^-1", "--disc"),
+     {"n": 2, "entries": [[0, {"num": 1.5, "den": 1}], [{"num": 1.5, "den": 1}, 0]]}),
+    (("essential", "a b a^-1 b^-1", "--disc"),
+     {"n": 2, "entries": [[0, {"num": "1", "den": "0"}], [{"num": "1", "den": "0"}, 0]]}),
+    (("synth", "--graph"), {"vertices": 1.9, "edges": [[0, 0.7]]}),
 ])
 def test_malformed_graph_or_flow_file_is_input_error(tmp_path, capsys, argv, data):
     path = tmp_path / "input.json"

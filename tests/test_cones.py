@@ -5,6 +5,7 @@ import pytest
 
 from sclflow import cones
 from sclflow.cones import (
+    ConeSpec,
     _support_strongly_connected,
     cache_info,
     clear_caches,
@@ -16,11 +17,20 @@ from sclflow.cones import (
     is_essential,
     is_extremal,
     iter_bounded_flows,
+    iter_cone_members,
     lp_columns,
     weight_vector,
 )
-from sclflow.errors import InternalCheckError, LimitExceeded
-from sclflow.graphs import Flow, abstract_graph, cycle_flow, isomorphic, mdgraph, zero_flow
+from sclflow.errors import InputError, InternalCheckError, LimitExceeded
+from sclflow.graphs import (
+    Flow,
+    abstract_graph,
+    cycle_flow,
+    flow_from_edges,
+    isomorphic,
+    mdgraph,
+    zero_flow,
+)
 from sclflow.linprog import make_lp, solve_lp
 
 
@@ -37,6 +47,16 @@ def test_weight_vector_examples():
     spec = cone_spec(3, [[2, -1, -1]])
     assert weight_vector(spec, cycle_flow(3, [0, 1, 2])) == (0,)
     assert weight_vector(SPEC2, loop_flow(2, 0)) == (1,)
+
+
+def test_cone_rows_must_be_integers():
+    assert ConeSpec(2, ((1, -1),)) == SPEC2
+    for row in ((Fraction(1, 2), Fraction(-1, 2)), (Fraction(1), Fraction(-1)),
+                (1.0, -1.0), (True, -1)):
+        with pytest.raises(InputError, match="integer"):
+            ConeSpec(2, (row,))
+    with pytest.raises(InputError, match="integer"):
+        cone_spec(2, [[Fraction(1, 2), Fraction(-1, 2)]])
 
 
 def test_in_cone_examples():
@@ -264,6 +284,20 @@ def test_iter_bounded_flows_conservation():
     flows = list(iter_bounded_flows(edges, caps))
     # all (a, a, c) with a <= 2, loop free
     assert sorted(flows) == sorted((a, a, c) for a in range(3) for c in range(2))
+    # the cone members among them are the nonzero flows passing in_cone
+    rng = random.Random(17)
+    complete = [(i, j) for i in range(3) for j in range(3)]
+    for rows in ([[1, 2, -3]], [[2, -1, -1]], [[1, 1, -2]], [[1, -1, 0], [1, 0, -1]]):
+        spec = cone_spec(3, rows)
+        supports = [complete] + [sorted(rng.sample(complete, rng.randint(4, 7)))
+                                 for _ in range(3)]
+        for support in supports:
+            caps = [rng.randint(1, 2) for _ in support]
+            members = list(iter_cone_members(spec, support, caps))
+            expected = [vals for vals in iter_bounded_flows(support, caps)
+                        if any(vals) and in_cone(spec, flow_from_edges(
+                            3, dict(zip(support, vals))))]
+            assert members == expected
 
 
 def test_ray_component_shapes_fall_into_three_classes():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,38 @@ def test_connectivity_single_edge():
 def test_connectivity_two_cycle():
     conn = connectivity(mdgraph(2, [(0, 1), (1, 0)]))
     assert conn.strongly_connected and conn.reflexive
+
+
+def closure_components(n, arcs):
+    """Classes of mutual reachability under the reflexive transitive
+    closure of arcs, sorted."""
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for t, h in arcs:
+        reach[t][h] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return tuple(sorted({tuple(j for j in range(n) if reach[i][j] and reach[j][i])
+                         for i in range(n)}))
+
+
+def test_connectivity_matches_transitive_closure():
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 2 * n))]
+        edges += edges[:rng.randint(0, 2)]  # parallel edges
+        conn = connectivity(mdgraph(n, edges))
+        strong = closure_components(n, edges)
+        weak = closure_components(n, edges + [(h, t) for t, h in edges])
+        assert conn.strong_components == strong
+        assert conn.weak_components == weak
+        assert conn.strongly_connected == (len(strong) == 1)
+        assert conn.weakly_connected == (len(weak) == 1)
+        assert conn.reflexive == (strong == weak)
 
 
 def test_flow_supports_are_reflexive():
@@ -237,6 +270,18 @@ def test_isomorphic_respects_attributes():
 def test_flow_json_round_trip():
     f = cycle_flow(3, [0, 1, 2]).scale(2)
     assert flow_from_json(flow_to_json(f)) == f
+
+
+def test_non_integer_graph_and_flow_values_are_refused():
+    with pytest.raises(InputError, match="integer"):
+        mdgraph(1.9, [(0, 0.7)])
+    with pytest.raises(InputError, match="integer"):
+        graph_from_json({"vertices": 1, "edges": [[0, 0]], "flows": [1.5]})
+    with pytest.raises(InputError, match="integer"):
+        flow_from_json({"n": 2, "entries": [[0, 1.9], [1.2, 0]]})
+    half = {"num": "1", "den": "2"}  # the JSON form of a rational entry
+    f = flow_from_json({"n": 2, "entries": [[0, half], [half, 0]]})
+    assert f.entries == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
 
 def test_graph_json_round_trip():

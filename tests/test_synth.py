@@ -104,7 +104,7 @@ def test_step2_weights_loop_degenerate():
 
 
 def test_step3_loop_realization():
-    g, paths = step3_concretize(LOOP, (1,), (0,), (1, -1), with_paths=True)
+    g, paths = step3_concretize(LOOP, (1,), (0,), (1, -1))
     assert g.entries[0][1] == 1 and g.entries[1][0] == 1
     assert len(paths) == 1
 
@@ -118,7 +118,7 @@ def test_step3_abstraction_round_trip():
     vals, e_star = step1_flow(BOUQUET)
     weights = step2_weights(BOUQUET, vals, e_star)
     x = minimal_vertex_weight(BOUQUET, weights)
-    flow = step3_concretize(BOUQUET, vals, weights, x)
+    flow, _paths = step3_concretize(BOUQUET, vals, weights, x)
     target = mdgraph(1, [(0, 0), (0, 0)], weights=list(weights),
                      flows=list(vals))
     assert isomorphic(abstract_flow(flow, x), target)

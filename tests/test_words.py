@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,14 @@ def test_make_word_rejects_bad_matrices():
         make_word(2, [[1, 1]], [[1, -1]])
     with pytest.raises(InputError):
         make_word(3, [[1, -1, 0]], [[1, -1, 0]])  # column 3 all zero
+
+
+def test_make_word_refuses_non_integer_exponents():
+    # integral Fractions are integers; anything else is refused, not truncated
+    assert make_word(2, [[Fraction(3), Fraction(-3)]], [[1, -1]]).x.rows == ((3, -3),)
+    for bad in ([[Fraction(3, 2), Fraction(-3, 2)]], [[1.0, -1.0]], [[True, -1]]):
+        with pytest.raises(InputError, match="integer"):
+            make_word(2, bad, [[1, -1]])
 
 
 def random_word(rng, n):
