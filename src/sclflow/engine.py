@@ -11,9 +11,11 @@ The columns of each side are the essential disc vectors up to the outflow
 bound (`cones.lp_columns`), and every LP runs column generation: a
 restricted LP is solved and seeded with new columns of positive reduced
 cost until none remain, which certifies the optimum over the full column
-set.  Truncation to outflow bound B can only shrink the admissible
-decompositions, so the computed value is always an upper bound for scl,
-reported as `stabilized` only when two consecutive bounds agree.
+set.  Each LP is built straight from sparse integer rows.  Truncation to
+outflow bound B can only shrink the admissible decompositions, so the
+computed value is always an upper bound for scl.  It is reported as
+`stabilized` when it meets the combinatorial lower bound, or when two
+consecutive bounds agree.
 Each LP is a deterministic function of its two column sets, which depend
 on the word only through its two row spaces, so the only memo on this path
 is the column memo of `cones.lp_columns`.
@@ -28,7 +30,7 @@ from typing import Optional
 from .cones import ConeSpec, cone_spec, in_cone, lp_columns
 from .errors import InputError, InternalCheckError, LimitExceeded
 from .graphs import Flow, flow_to_json
-from .linprog import int_scaled, make_lp, rat_to_json, solve_lp
+from .linprog import LinearProgram, int_scaled, rat_to_json, solve_lp
 from .words import Word
 
 SCL_N_LIMIT = 6
@@ -59,16 +61,17 @@ def _sparse_columns(discs, offset: int = 0) -> list[dict[int, int]]:
             for d in discs]
 
 
-def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
-                   column_groups):
-    """Maximize fixed_obj . a + sum(t) subject to
+def _solve_packing(eq_rows, n_fixed, capacity_rows, column_groups):
+    """Maximize sum(t) over the fixed variables a (indices 0..n_fixed-1)
+    and one weight t_d >= 0 per column, subject to
 
-        eq_rows . a = eq_rhs
-        sum_d t_d * col_d  <=  capacity_rows . (a, 1)   per capacity row
+        row . a = rhs                           per (row, rhs) in eq_rows
+        row . a + sum_d t_d * col_d[r] <= rhs   per (row, rhs) in capacity_rows
 
-    `capacity_rows` maps each packing row to a linear form in the fixed
-    variables (list of (var index, coef)) plus a constant.  Each column in
-    `column_groups` is a sparse map {row index: coef} with objective 1.
+    Every row is a sparse integer map {fixed variable: coefficient}, and
+    capacity row r is row r of the packing.  Each column in
+    `column_groups` is a sparse map {packing row: coefficient} whose
+    variable follows the fixed ones.
 
     Every call runs column generation (Gilmore-Gomory): the restricted LP
     starts from the lightest columns of each group and takes in, each
@@ -76,28 +79,15 @@ def _solve_packing(eq_rows, eq_rhs, n_fixed, fixed_obj, capacity_rows,
     column prices in, its optimum is optimal over every column.
     Returns (LPResult over all columns, list of active column ids).
     """
-    ncap = len(capacity_rows)
     all_cols = [col for group in column_groups for col in group]
 
     def build_lp(active_ids):
-        nvar = n_fixed + len(active_ids)
-        eqs = []
-        for row, b in zip(eq_rows, eq_rhs):
-            full = list(row) + [Fraction(0)] * len(active_ids)
-            eqs.append((full, b))
-        ineqs = []
-        for r in range(ncap):
-            coefs = [Fraction(0)] * nvar
-            terms, const = capacity_rows[r]
-            for vi, cf in terms:
-                coefs[vi] -= cf  # move capacity to the left: t - cap <= const
-            for k, cid in enumerate(active_ids):
-                cf = all_cols[cid].get(r)
-                if cf:
-                    coefs[n_fixed + k] = Fraction(cf)
-            ineqs.append((coefs, const))
-        obj = list(fixed_obj) + [Fraction(1)] * len(active_ids)
-        return make_lp(obj, eq=eqs, ineq=ineqs)
+        ineqs = [(dict(row), rhs) for row, rhs in capacity_rows]
+        for k, cid in enumerate(active_ids, n_fixed):
+            for r, cf in all_cols[cid].items():
+                ineqs[r][0][k] = cf
+        obj = (0,) * n_fixed + (1,) * len(active_ids)
+        return LinearProgram(obj, tuple(eq_rows), tuple(ineqs))
 
     # start with the lightest columns per group (deterministic)
     active = []
@@ -144,10 +134,9 @@ def klein_value(spec: ConeSpec, v: Flow, bound: int) -> Fraction:
     """
     if not in_cone(spec, v):
         raise InputError("flow is not in the cone of this spec")
-    n = spec.n
     columns = _sparse_columns(lp_columns(spec, bound))
-    capacity = [((), Fraction(v.entries[r // n][r % n])) for r in range(n * n)]
-    res, _active = _solve_packing([], [], 0, [], capacity, [columns])
+    capacity = [({}, Fraction(c)) for row in v.entries for c in row]
+    res, _active = _solve_packing([], 0, capacity, [columns])
     if res.status != "optimal":
         raise InternalCheckError(f"klein LP ended with status {res.status}")
     return res.value
@@ -221,32 +210,12 @@ def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
     col_group_a = _sparse_columns(cols_x)
     col_group_b = _sparse_columns(cols_y, nn)
 
-    eq_rows = []
-    eq_rhs = []
-    for i in range(n):  # unit outflow of v_A
-        row = [Fraction(0)] * nn
-        for j in range(n):
-            row[i * n + j] = Fraction(1)
-        eq_rows.append(row)
-        eq_rhs.append(Fraction(1))
-    for j in range(n):  # unit inflow of v_A (conservation at outflow one)
-        row = [Fraction(0)] * nn
-        for i in range(n):
-            row[i * n + j] = Fraction(1)
-        eq_rows.append(row)
-        eq_rhs.append(Fraction(1))
-
-    capacity = []
-    for r in range(nn):
-        i, j = divmod(r, n)
-        capacity.append((((i * n + j, Fraction(1)),), Fraction(0)))
-    for r in range(nn):
-        k, i = divmod(r, n)
-        capacity.append((((i * n + (k + 1) % n, Fraction(1)),), Fraction(0)))
-
-    fixed_obj = [Fraction(0)] * nn
-    res, active = _solve_packing(eq_rows, eq_rhs, nn, fixed_obj, capacity,
-                                 [col_group_a, col_group_b])
+    # unit outflow, then unit inflow (conservation at outflow one), of v_A
+    eq_rows = [({i * n + j: 1 for j in range(n)}, 1) for i in range(n)] + \
+              [({i * n + j: 1 for i in range(n)}, 1) for j in range(n)]
+    capacity = [({r: -1}, 0) for r in range(nn)] + \
+               [({i * n + (k + 1) % n: -1}, 0) for k in range(n) for i in range(n)]
+    res, active = _solve_packing(eq_rows, nn, capacity, [col_group_a, col_group_b])
     if res.status != "optimal":
         raise InternalCheckError(
             f"paired unit-outflow LP ended with status {res.status}; "

@@ -264,7 +264,8 @@ class Flow:
         return sum(row[j] for row in self.entries)
 
     def is_conserved(self) -> bool:
-        return all(self.outflow(i) == self.inflow(i) for i in range(self.n))
+        return all(sum(row) == sum(col)
+                   for row, col in zip(self.entries, zip(*self.entries)))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)

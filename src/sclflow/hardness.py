@@ -16,6 +16,7 @@ end, each link checkable against brute force.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 
 from .bounds import vanishing_combinations
 from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, is_essential
-from .errors import InputError, InternalCheckError, LimitExceeded, PromiseViolation
+from .errors import InputError, InternalCheckError, LimitExceeded, PromiseViolation, as_int
 from .graphs import Flow, flow_from_edges, hamiltonian_cycles, zero_flow
 from .words import Word, make_word
 
@@ -59,13 +60,9 @@ class SubsetInstance:
 
 
 def instance(variant: str, values) -> SubsetInstance:
-    vecs = []
-    for v in values:
-        if isinstance(v, (int,)):
-            vecs.append((int(v),))
-        else:
-            vecs.append(tuple(int(c) for c in v))
-    return SubsetInstance(variant, tuple(vecs))
+    vecs = tuple(tuple(map(as_int, v)) if isinstance(v, Iterable) else (as_int(v),)
+                 for v in values)
+    return SubsetInstance(variant, vecs)
 
 
 def instance_to_json(inst: SubsetInstance) -> dict:
@@ -144,7 +141,7 @@ def solve_subset(inst: SubsetInstance) -> SubsetAnswer:
 
 def append_balance(values: Sequence[int]) -> SubsetInstance:
     """Append the negated total; SS on the input equals SSP on the output."""
-    vals = [int(v) for v in values]
+    vals = [as_int(v) for v in values]
     vals.append(-sum(vals))
     return instance("SSP", vals)
 
@@ -181,7 +178,8 @@ def build_table(a: Sequence[int], r: int) -> ReductionTable:
     under P, Q; (n+3) -1 under alpha, r and n-r under P, Q.  Every row sums
     to zero.
     """
-    base = tuple(int(v) for v in a)
+    base = tuple(map(as_int, a))
+    r = as_int(r)
     n = len(base)
     if n < 2:
         raise InputError("table construction needs at least two values")
@@ -261,7 +259,7 @@ def table_witness_from_base(table: ReductionTable,
     """Lift an SSP witness on the base list to an SSP witness on the table
     columns (valid when r was chosen as the witness weight)."""
     n = table.n
-    mu = tuple(int(v) for v in mu)
+    mu = tuple(map(as_int, mu))
     if sum(mu) != table.r:
         raise InputError("lifting needs r equal to the witness weight")
     lam = list(mu) + [1 - m for m in mu] + [1, 0]
@@ -283,7 +281,7 @@ def collapse(vectors: Sequence[Sequence[int]], usage_bound: int) -> list[int]:
     S_l the largest weighted magnitude one coordinate can reach, so distinct
     coordinates can never alias.
     """
-    vecs = [tuple(int(c) for c in v) for v in vectors]
+    vecs = [tuple(map(as_int, v)) for v in vectors]
     if not vecs:
         return []
     k = len(vecs[0])
@@ -308,7 +306,7 @@ def collapse(vectors: Sequence[Sequence[int]], usage_bound: int) -> list[int]:
 def small_scl_instance(r_list: Sequence[int]) -> Word:
     """The word a^{r_1} b a^{r_2} b ... a^{r_n} b^{-(n-1)}: one a-generator
     with exponents r_list, one b-generator with exponents (1,...,1,-(n-1))."""
-    vals = [int(v) for v in r_list]
+    vals = [as_int(v) for v in r_list]
     n = len(vals)
     if n < 2:
         raise InputError("need at least two exponents")
@@ -349,9 +347,9 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
     disc vector of the b-side cone.  Both decomposition facts are verified
     here by exact arithmetic, as is connectivity of the partner's support.
     """
-    xs = tuple(int(v) for v in x)
+    xs = tuple(map(as_int, x))
     n = len(xs)
-    j_sorted = tuple(sorted(int(i) for i in j_set))
+    j_sorted = tuple(sorted(map(as_int, j_set)))
     if len(set(j_sorted)) != len(j_sorted) or not j_sorted:
         raise InputError("J must be a nonempty set of distinct indices")
     if any(not 0 <= i < n for i in j_sorted):
@@ -452,7 +450,7 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
     scl strictly below the threshold, while its absence forces the minimal
     vanishing weight to n and the lower bound to meet the threshold.
     """
-    xs = tuple(int(v) for v in xs)
+    xs = tuple(map(as_int, xs))
     n = len(xs)
     if n < 2:
         raise InputError("need at least two entries")
@@ -533,7 +531,7 @@ def reduce_ss_to_smallscl(values: Sequence[int]) -> ReductionTranscript:
     scl threshold procedure (certificates) or, for longer inputs or broken
     promises, the brute-force oracle.  The transcript records every
     intermediate instance and the route taken."""
-    vals = tuple(int(v) for v in values)
+    vals = tuple(map(as_int, values))
     if not vals:
         raise InputError("empty input")
     balanced = append_balance(vals)
@@ -596,7 +594,7 @@ def essential_gadget(values: Sequence[int]) -> EssentialGadget:
     Petal i routes one unit hub -> a_i-vertex -> sink_i -> hub; a proper
     nonzero subflow picks exactly the petals of a zero-sum subset.
     """
-    vals = [int(v) for v in values]
+    vals = [as_int(v) for v in values]
     m = len(vals)
     if m < 1:
         raise InputError("need at least one value")
@@ -627,7 +625,7 @@ def essential_gadget(values: Sequence[int]) -> EssentialGadget:
 def essential_gadget_answer(values: Sequence[int]) -> bool:
     """COSS through the gadget: essentiality of the petal flow when the
     gadget exists, the direct zero-entry answer otherwise."""
-    vals = [int(v) for v in values]
+    vals = [as_int(v) for v in values]
     balanced = vals + [-sum(vals)]
     if any(v == 0 for v in balanced):
         # a zero among the values is a singleton zero-sum subset; a zero

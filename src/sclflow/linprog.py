@@ -1,8 +1,11 @@
 """Exact rational linear programming and small-scale linear algebra.
 
 There is no floating point anywhere, so optima and witnesses are exact and
-reproducible.  Inputs and outputs are `fractions.Fraction`s.  The solver is
-a two-phase primal simplex with Bland's anti-cycling pivot rule, which
+reproducible.  Outputs are `fractions.Fraction`s.  A `LinearProgram` holds
+each constraint row as a sparse map {variable index: nonzero coefficient},
+the coefficients ints or `Fraction`s; `make_lp` is the dense front, which
+turns rows listing one coefficient per variable into such maps.  The solver
+is a two-phase primal simplex with Bland's anti-cycling pivot rule, which
 makes it deterministic for a fixed input.  Inside, it works on a sparse
 integer tableau: each row is a map from column to nonzero int plus an int
 rhs over one positive int denominator, and pivots are fraction-free
@@ -17,6 +20,7 @@ simplex.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -155,11 +159,17 @@ def solve_square(mat: Sequence[Sequence[Fraction]],
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize objective . x subject to eq rows (= rhs), ineq rows (<= rhs),
-    and x_i >= 0 wherever nonneg_mask[i] is True (free otherwise)."""
+    and x_i >= 0 wherever nonneg_mask[i] is True (free otherwise).
 
-    objective: tuple[Fraction, ...]
-    eq_constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
-    ineq_constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
+    The objective lists one coefficient per variable.  A constraint is a
+    pair (row, rhs) whose row is a sparse map {variable index: nonzero
+    coefficient} over the indices 0 .. dim-1; coefficients and rhs are
+    ints or `Fraction`s.  `make_lp` builds one from dense rows.
+    """
+
+    objective: tuple[Rat, ...]
+    eq_constraints: tuple[tuple[Mapping[int, Rat], Rat], ...] = ()
+    ineq_constraints: tuple[tuple[Mapping[int, Rat], Rat], ...] = ()
     nonneg_mask: Optional[tuple[bool, ...]] = None
 
     def dim(self) -> int:
@@ -182,11 +192,22 @@ class LPResult:
 
 
 def make_lp(objective, eq=(), ineq=(), nonneg=None) -> LinearProgram:
+    """A `LinearProgram` from dense rows: each constraint row lists one
+    coefficient per variable, and every value is coerced with `rat`."""
     obj = tuple(rat(x) for x in objective)
-    eqs = tuple((tuple(rat(x) for x in row), rat(b)) for row, b in eq)
-    ineqs = tuple((tuple(rat(x) for x in row), rat(b)) for row, b in ineq)
+    dim = len(obj)
+
+    def sparse(constraints):
+        out = []
+        for row, b in constraints:
+            if len(row) != dim:
+                raise InputError(f"constraint row of length {len(row)} does "
+                                 f"not match objective of length {dim}")
+            out.append(({j: c for j, x in enumerate(row) if (c := rat(x))}, rat(b)))
+        return tuple(out)
+
     mask = None if nonneg is None else tuple(bool(b) for b in nonneg)
-    return LinearProgram(obj, eqs, ineqs, mask)
+    return LinearProgram(obj, sparse(eq), sparse(ineq), mask)
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +338,34 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     dim = lp.dim()
     n_eq, nslack = len(lp.eq_constraints), len(lp.ineq_constraints)
     constraints = list(lp.eq_constraints) + list(lp.ineq_constraints)
-    for row, _ in constraints:
-        if len(row) != dim:
-            raise InputError(
-                f"constraint row of length {len(row)} does not match objective of length {dim}")
     mask = lp.mask()
     if len(mask) != dim:
         raise InputError("nonneg_mask length does not match objective")
 
     # map original variables to nonnegative columns: free x -> x+ - x-
-    col_of_var: list[tuple[int, Optional[int]]] = []
+    col_of_var: dict[int, tuple[int, Optional[int]]] = {}
     nstruct = 0
     for i in range(dim):
         if mask[i]:
-            col_of_var.append((nstruct, None))
+            col_of_var[i] = (nstruct, None)
             nstruct += 1
         else:
-            col_of_var.append((nstruct, nstruct + 1))
+            col_of_var[i] = (nstruct, nstruct + 1)
             nstruct += 2
 
-    def sparse(row) -> dict:
+    def split(row) -> dict:
+        """{column: coefficient} of a sparse row {variable: coefficient}."""
+        if not isinstance(row, Mapping):
+            raise InputError(f"constraint row is a {type(row).__name__}, "
+                             "not a map {variable: coefficient}")
         out = {}
-        for i, coef in enumerate(row):
-            if coef:
-                c = rat(coef)
-                p, m = col_of_var[i]
+        for i, c in row.items():
+            cols = col_of_var.get(i)
+            if cols is None:
+                raise InputError(f"constraint row names variable {i!r}, "
+                                 f"outside 0..{dim - 1}")
+            if c:
+                p, m = cols
                 out[p] = c
                 if m is not None:
                     out[m] = -c
@@ -354,8 +378,8 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     row_sign = []
     art_col_of_row = {}
     for i, (row, b) in enumerate(constraints):
-        coefs = sparse(row)
-        ints, scale = int_scaled([*coefs.values(), rat(b)])
+        coefs = split(row)
+        ints, scale = int_scaled([*coefs.values(), b])
         irow = dict(zip(coefs, ints))  # zip leaves out the rhs, ints[-1]
         irhs = ints[-1]
         slack = nstruct + i - n_eq if i >= n_eq else None
@@ -398,7 +422,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
                 if j is not None:
                     tab.pivot(r, j)
 
-    tab.set_objective(sparse(lp.objective))
+    tab.set_objective(split(dict(enumerate(lp.objective))))
     status = tab.run(art_base)
     if status == "unbounded":
         return LPResult(status="unbounded")

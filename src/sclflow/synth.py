@@ -21,7 +21,7 @@ from .cones import (
     iter_bounded_flows,
     iter_cone_members,
 )
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, as_int
 from .graphs import (
     Flow,
     MDGraph,
@@ -72,7 +72,7 @@ def lemma_numbers(f_values: Sequence[int]) -> tuple[int, ...]:
     """Weights w_j = (M+1)^{k+1} + (M+1)^{j-1} for M the total of the given
     values: the only nonnegative integer vector whose weighted sum matches
     that of f_values is f_values itself."""
-    fv = [int(v) for v in f_values]
+    fv = [as_int(v) for v in f_values]
     if any(v < 0 for v in fv):
         raise InputError("values must be nonnegative")
     k = len(fv)
@@ -92,7 +92,7 @@ def step2_weights(g: MDGraph, f_vals: Sequence[int], e_star: int) -> tuple[int, 
     carry at least one unit on the distinguished edge, and value one there
     forces the whole flow.
     """
-    fv = [int(v) for v in f_vals]
+    fv = [as_int(v) for v in f_vals]
     others = [i for i in range(len(g.edges)) if i != e_star]
     ws = lemma_numbers([fv[i] for i in others])
     weights = [0] * len(g.edges)

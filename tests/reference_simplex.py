@@ -102,9 +102,8 @@ def solve_lp_dense(lp: LinearProgram) -> LPResult:
     """
     dim = lp.dim()
     for row, _ in list(lp.eq_constraints) + list(lp.ineq_constraints):
-        if len(row) != dim:
-            raise InputError(
-                f"constraint row of length {len(row)} does not match objective of length {dim}")
+        if any(not 0 <= i < dim for i in row):
+            raise InputError(f"constraint row names a variable outside 0..{dim - 1}")
     mask = lp.mask()
     if len(mask) != dim:
         raise InputError("nonneg_mask length does not match objective")
@@ -121,8 +120,9 @@ def solve_lp_dense(lp: LinearProgram) -> LPResult:
             nstruct += 2
 
     def expand(row):
+        """Dense structural row of a sparse map {variable: coefficient}."""
         out = [Fraction(0)] * nstruct
-        for i, coef in enumerate(row):
+        for i, coef in row.items():
             c = rat(coef)
             if c == 0:
                 continue
@@ -214,7 +214,7 @@ def solve_lp_dense(lp: LinearProgram) -> LPResult:
                         break
 
     allowed = [j not in art_cols for j in range(ncols)]
-    objective = expand(lp.objective) + [Fraction(0)] * (nslack + nart)
+    objective = expand(dict(enumerate(lp.objective))) + [Fraction(0)] * (nslack + nart)
     tab.set_objective(objective)
     status = tab.run(allowed)
     if status == "unbounded":

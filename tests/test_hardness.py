@@ -23,6 +23,8 @@ from sclflow.hardness import (
     table_witness_from_base,
     verify_table_properties,
 )
+from sclflow.graphs import mdgraph
+from sclflow.synth import lemma_numbers, step2_weights
 from sclflow.words import render_word
 
 F = Fraction
@@ -286,3 +288,29 @@ def test_essential_gadget_answers():
 def test_instance_json_round_trip():
     inst = instance("VARSSP", [[1, 0], [-1, 1], [0, -1]])
     assert instance_from_json(instance_to_json(inst)) == inst
+
+
+@pytest.mark.parametrize("call", [
+    lambda: instance("SS", [1.7, -1.2]),
+    lambda: instance("SS", [[1, F(1, 2)]]),
+    lambda: append_balance([1.5, 2]),
+    lambda: build_table([1.5, -1.5], 1),
+    lambda: build_table([1, -1], 1.5),
+    lambda: table_witness_from_base(build_table([1, -1, 2, -2], 2), [1.0, 1, 0, 0]),
+    lambda: collapse([[1.5, 0], [-1.5, 0]], 2),
+    lambda: small_scl_instance([1.5, -1.2]),
+    lambda: j_pair_certificate([1, 1, -1, -1, 2, -2], [0.0, 2]),
+    lambda: decide_small_scl([1.5, -1.2, 3]),
+    lambda: reduce_ss_to_smallscl([1.5, -1.2]),
+    lambda: essential_gadget([1.5, 2]),
+    lambda: essential_gadget_answer([1.5, 2]),
+    lambda: lemma_numbers([1.5, 2]),
+    lambda: step2_weights(mdgraph(2, [(0, 1), (1, 0)]), [1.5, 1], 0),
+], ids=["instance", "instance-vector", "append_balance", "build_table",
+        "build_table-r", "table_witness_from_base", "collapse",
+        "small_scl_instance", "j_pair_certificate", "decide_small_scl",
+        "reduce_ss_to_smallscl", "essential_gadget", "essential_gadget_answer",
+        "lemma_numbers", "step2_weights"])
+def test_reduction_chain_refuses_non_integer_values(call):
+    with pytest.raises(InputError):
+        call()

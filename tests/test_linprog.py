@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sclflow.errors import InputError, LimitExceeded
 from sclflow.linprog import (
+    LinearProgram,
     enumerate_vertices,
     make_lp,
     rat_from_json,
@@ -63,6 +64,13 @@ def test_equality_constraints_and_free_vars():
 def test_dimension_mismatch_raises():
     with pytest.raises(InputError):
         solve_lp(make_lp([1, 2], ineq=[([1], 1)]))
+
+
+@pytest.mark.parametrize("row", [(1, 1), {0: 1, 2: 1}, {-1: 1, 0: 1}],
+                         ids=["dense", "dim", "negative"])
+def test_solve_lp_refuses_rows_that_are_not_sparse_maps_over_the_variables(row):
+    with pytest.raises(InputError):
+        solve_lp(LinearProgram((1, 1), ineq_constraints=((row, 1),)))
 
 
 def test_degenerate_empty_objective():
@@ -158,7 +166,7 @@ def test_duals_certify_optimum():
         assert dual_val == res.value
         # dual feasibility on nonnegative variables: y^T A >= c
         for j in range(nvars):
-            colsum = sum(v * row[j] for v, (row, _) in zip(y, lp.ineq_constraints))
+            colsum = sum(v * row.get(j, 0) for v, (row, _) in zip(y, lp.ineq_constraints))
             assert colsum >= F(obj[j])
 
 
