@@ -8,7 +8,7 @@ paired-flow linear program, with exact rational arithmetic end to end:
 - linprog: exact simplex and a vertex-enumeration oracle
 - graphs: multi-digraphs, flows, abstraction, positive flows
 - cones: disc vectors, essential and extremal classification, rays
-- engine: Klein function values and the scl linear program
+- engine: Klein function values, the scl linear program and the conjecture check
 - bounds: combinatorial lower bound, maximizing words, generic sampling
 - hardness: subset-sum variants and the reduction chain to scl queries
 - synth: extremal points with a prescribed abstract graph
@@ -16,7 +16,6 @@ paired-flow linear program, with exact rational arithmetic end to end:
 """
 
 from .bounds import (
-    conjecture_check,
     generic_check,
     lower_bound,
     min_vanishing,
@@ -39,6 +38,7 @@ from .cones import (
 )
 from .engine import (
     SclResult,
+    conjecture_check,
     klein_value,
     pair_flow,
     scl,

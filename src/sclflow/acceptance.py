@@ -20,7 +20,6 @@ from .bounds import (
     sample_generic_word,
     universal_word,
     upper_bound_C,
-    conjecture_check,
 )
 from .cones import (
     cone_spec,
@@ -29,7 +28,7 @@ from .cones import (
     is_essential,
     is_extremal,
 )
-from .engine import scl, verify_certificate
+from .engine import conjecture_check, scl, verify_certificate
 from .graphs import abstract_graph, isomorphic, mdgraph
 from .hardness import (
     _cyclic_pairs,

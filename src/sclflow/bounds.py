@@ -13,9 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 
 from .errors import InputError
+from .linprog import rref
 from .words import ExponentMatrix, Word, make_word, matrix, validate_Mn
 
 GENERIC_MAX_TRIES = 2000
@@ -172,7 +173,6 @@ def sample_generic_word(n: int, seed: int) -> Word:
     rng = random.Random(seed)
 
     def full_rank(rows) -> bool:
-        from .linprog import rref
         return len(rref(rows)) == len(rows)
 
     def side():
@@ -192,30 +192,3 @@ def sample_generic_word(n: int, seed: int) -> Word:
         raise InputError(f"sampler exceeded {GENERIC_MAX_TRIES} tries; widen the range")
 
     return make_word(n, side(), side())
-
-
-@dataclass(frozen=True)
-class ConjectureReport:
-    n: int
-    q: int
-    predicted: Fraction
-    computed: "object"  # SclResult; typed loosely to avoid an import cycle
-
-    def agrees(self) -> bool:
-        return self.computed.value == self.predicted
-
-
-def conjecture_check(n_: int, p_: int, q_: int, r_: int,
-                     bound: int = 3) -> ConjectureReport:
-    """Predicted value 1 - gcd(n, q)/(2n) for the four-block word with
-    a-exponents (-n, p, q, r) and b-exponents (-1, 1, -1, 1), versus the
-    engine's computed value.  Informational: mismatches are reported, never
-    asserted."""
-    from .engine import scl
-
-    if p_ <= 0 or q_ <= 0 or r_ <= 0 or p_ + q_ + r_ != n_:
-        raise InputError("need positive p, q, r with p + q + r = n")
-    w = make_word(4, [[-n_, p_, q_, r_]], [[-1, 1, -1, 1]])
-    predicted = 1 - Fraction(gcd(n_, q_), 2 * n_)
-    computed = scl(w, bound=bound, stabilize=True)
-    return ConjectureReport(n=n_, q=q_, predicted=predicted, computed=computed)

@@ -292,7 +292,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    from .bounds import conjecture_check
+    from .engine import conjecture_check
 
     cfg = _config_from_args(args)
     n = args.p + args.q + args.r

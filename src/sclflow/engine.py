@@ -18,20 +18,23 @@ computed value is always an upper bound for scl.  It is reported as
 consecutive bounds agree.
 Each LP is a deterministic function of its two column sets, which depend
 on the word only through its two row spaces, so the only memo on this path
-is the column memo of `cones.lp_columns`.
+is the column memo of `cones.lp_columns`.  `conjecture_check` sets the
+computed value of a four-block family against its predicted closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
+from .bounds import lower_bound
 from .cones import ConeSpec, cone_spec, in_cone, lp_columns
 from .errors import InputError, InternalCheckError, LimitExceeded
 from .graphs import Flow, flow_to_json
 from .linprog import LinearProgram, int_scaled, rat_to_json, solve_lp
-from .words import Word
+from .words import Word, make_word
 
 SCL_N_LIMIT = 6
 DEFAULT_BOUND = 3
@@ -254,8 +257,6 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
     honest `upper_bound` status.  With stabilization off, only the LP at
     `bound` is solved, and its value is reported as `upper_bound`.
     """
-    from .bounds import lower_bound
-
     if w.n > SCL_N_LIMIT:
         raise LimitExceeded(f"scl computation limited to {SCL_N_LIMIT} blocks per side")
     if bound < 1:
@@ -277,8 +278,6 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
 
 def scl_bracket(w: Word, bound: int = DEFAULT_BOUND) -> tuple[Fraction, Fraction]:
     """(combinatorial lower bound, LP upper value); equality certifies scl."""
-    from .bounds import lower_bound
-
     lo = lower_bound(w)
     hi = scl(w, bound).value
     if lo > hi:
@@ -286,6 +285,31 @@ def scl_bracket(w: Word, bound: int = DEFAULT_BOUND) -> tuple[Fraction, Fraction
             f"lower bound {lo} exceeds LP upper value {hi}; this falsifies "
             "one of the two implementations")
     return lo, hi
+
+
+@dataclass(frozen=True)
+class ConjectureReport:
+    n: int
+    q: int
+    predicted: Fraction
+    computed: SclResult
+
+    def agrees(self) -> bool:
+        return self.computed.value == self.predicted
+
+
+def conjecture_check(n_: int, p_: int, q_: int, r_: int,
+                     bound: int = DEFAULT_BOUND) -> ConjectureReport:
+    """Predicted value 1 - gcd(n, q)/(2n) for the four-block word with
+    a-exponents (-n, p, q, r) and b-exponents (-1, 1, -1, 1), versus the
+    engine's computed value.  Informational: mismatches are reported, never
+    asserted."""
+    if p_ <= 0 or q_ <= 0 or r_ <= 0 or p_ + q_ + r_ != n_:
+        raise InputError("need positive p, q, r with p + q + r = n")
+    w = make_word(4, [[-n_, p_, q_, r_]], [[-1, 1, -1, 1]])
+    predicted = 1 - Fraction(gcd(n_, q_), 2 * n_)
+    computed = scl(w, bound=bound, stabilize=True)
+    return ConjectureReport(n=n_, q=q_, predicted=predicted, computed=computed)
 
 
 def verify_certificate(result: SclResult, w: Word) -> bool:

@@ -25,6 +25,7 @@ from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalCheckError, LimitExceeded, as_int
+from .linprog import rat_from_json, rat_to_json
 
 HAMILTONIAN_LIMIT = 8
 ISO_VERTEX_LIMIT = 8
@@ -50,9 +51,6 @@ class MDGraph:
                 raise InputError("per-edge attribute length does not match edge count")
         if self.flows is not None and any(f < 0 for f in self.flows):
             raise InputError("flow values must be nonnegative")
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 def mdgraph(vertex_count, edges, weights=None, flows=None) -> MDGraph:
@@ -253,10 +251,6 @@ class Flow:
                 if v < 0:
                     raise InputError("flow values must be nonnegative")
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def outflow(self, i: int):
         return sum(self.entries[i])
 
@@ -302,10 +296,6 @@ class Flow:
         return Flow(self.n, tuple(tuple(a + b for a, b in zip(r1, r2))
                                   for r1, r2 in zip(self.entries, other.entries)))
 
-    def leq(self, other: "Flow") -> bool:
-        return all(a <= b for r1, r2 in zip(self.entries, other.entries)
-                   for a, b in zip(r1, r2))
-
 
 def flow_from_entries(n, entries) -> Flow:
     f = Flow(n, tuple(tuple(row) for row in entries))
@@ -348,20 +338,18 @@ def outflow_vector(f: Flow) -> tuple:
 def flow_to_json(f: Flow) -> dict:
     def enc(v):
         if isinstance(v, Fraction) and v.denominator != 1:
-            return {"num": str(v.numerator), "den": str(v.denominator)}
+            return rat_to_json(v)
         return int(v)
     return {"n": f.n, "entries": [[enc(v) for v in row] for row in f.entries]}
 
 
 def flow_from_json(obj) -> Flow:
     def dec(v):
-        if isinstance(v, dict):  # int() of a str refuses "1.5"; of 1.5 it truncates
-            return Fraction(int(str(v["num"])), int(str(v["den"])))
-        return as_int(v)
+        return rat_from_json(v) if isinstance(v, dict) else as_int(v)
     try:
         return flow_from_entries(as_int(obj["n"]),
                                  [[dec(v) for v in row] for row in obj["entries"]])
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed flow JSON: {exc}") from exc
 
 
@@ -377,13 +365,8 @@ def hamiltonian_cycles(vertex_subset: Sequence[int], n: int) -> list[Flow]:
         raise InputError("empty vertex subset")
     if any(not 0 <= v < n for v in subset):
         raise InputError("vertex out of range")
-    if len(subset) == 1:
-        return [cycle_flow(n, subset)]
     first, rest = subset[0], subset[1:]
-    out = []
-    for perm in permutations(rest):
-        out.append(cycle_flow(n, [first, *perm]))
-    return out
+    return [cycle_flow(n, [first, *perm]) for perm in permutations(rest)]
 
 
 # ---------------------------------------------------------------------------

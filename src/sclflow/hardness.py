@@ -23,8 +23,9 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from .bounds import vanishing_combinations
+from .bounds import lower_bound, vanishing_combinations
 from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, is_essential
+from .engine import pair_flow
 from .errors import InputError, InternalCheckError, LimitExceeded, PromiseViolation, as_int
 from .graphs import Flow, flow_from_edges, hamiltonian_cycles, zero_flow
 from .words import Word, make_word
@@ -282,6 +283,7 @@ def collapse(vectors: Sequence[Sequence[int]], usage_bound: int) -> list[int]:
     coordinates can never alias.
     """
     vecs = [tuple(map(as_int, v)) for v in vectors]
+    usage_bound = as_int(usage_bound)
     if not vecs:
         return []
     k = len(vecs[0])
@@ -395,8 +397,6 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
         if not is_disc_vector(spec_x, part):
             raise InternalCheckError("a cycle part is not an a-side disc vector")
 
-    from .engine import pair_flow  # local: engine imports nothing from here
-
     v_b = pair_flow(v_a)
     y_row = [1] * (n - 1) + [-(n - 1)]
     spec_y = cone_spec(n, [y_row])
@@ -472,8 +472,6 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
                                 f"{cert.certified_upper}", cert)
     # no zero-sum subset: under the promise no weighted solution exists
     # either, so the minimal vanishing weight is n on both sides
-    from .bounds import lower_bound
-
     w = small_scl_instance(xs)
     lo = lower_bound(w)
     if lo != Fraction(n, 2) - 1:

@@ -1,14 +1,15 @@
 """Exact rational linear programming and small-scale linear algebra.
 
 There is no floating point anywhere, so optima and witnesses are exact and
-reproducible.  Outputs are `fractions.Fraction`s.  A `LinearProgram` holds
-each constraint row as a sparse map {variable index: nonzero coefficient},
-the coefficients ints or `Fraction`s; `make_lp` is the dense front, which
-turns rows listing one coefficient per variable into such maps.  The solver
-is a two-phase primal simplex with Bland's anti-cycling pivot rule, which
-makes it deterministic for a fixed input.  Inside, it works on a sparse
-integer tableau: each row is a map from column to nonzero int plus an int
-rhs over one positive int denominator, and pivots are fraction-free
+reproducible.  Outputs are `fractions.Fraction`s.  Every variable of a
+`LinearProgram` is nonnegative, and it holds each constraint row as a
+sparse map {variable index: nonzero coefficient}, the coefficients ints or
+`Fraction`s; `make_lp` is the dense front, which turns rows listing one
+coefficient per variable into such maps.  The solver is a two-phase primal
+simplex with Bland's anti-cycling pivot rule, which makes it deterministic
+for a fixed input.  Inside, it works on a sparse integer tableau whose
+column j is variable j: each row is a map from column to nonzero int plus
+an int rhs over one positive int denominator, and pivots are fraction-free
 (Edmonds) eliminations that touch only the rows with an entry in the pivot
 column.  `solve_square_int` solves square integer systems fraction-free
 as well (Bareiss), and `int_scaled` is the one place rationals are brought
@@ -46,8 +47,18 @@ def rat_to_json(x: Fraction) -> dict:
 
 
 def rat_from_json(obj) -> Fraction:
-    if isinstance(obj, dict) and "num" in obj and "den" in obj:
-        return Fraction(int(obj["num"]), int(obj["den"]))
+    """The rational of {"num": n, "den": d}, with n and d ints or integer
+    strings and d nonzero; anything else is refused, not truncated."""
+    if isinstance(obj, dict):
+        parts = obj.get("num"), obj.get("den")
+        if all(isinstance(v, (int, str)) and not isinstance(v, bool) for v in parts):
+            try:
+                num, den = map(int, parts)
+            except ValueError:
+                pass
+            else:
+                if den:
+                    return Fraction(num, den)
     raise InputError(f"not a rational JSON object: {obj!r}")
 
 
@@ -158,8 +169,8 @@ def solve_square(mat: Sequence[Sequence[Fraction]],
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Maximize objective . x subject to eq rows (= rhs), ineq rows (<= rhs),
-    and x_i >= 0 wherever nonneg_mask[i] is True (free otherwise).
+    """Maximize objective . x subject to eq rows (= rhs), ineq rows (<= rhs)
+    and x >= 0.
 
     The objective lists one coefficient per variable.  A constraint is a
     pair (row, rhs) whose row is a sparse map {variable index: nonzero
@@ -170,15 +181,9 @@ class LinearProgram:
     objective: tuple[Rat, ...]
     eq_constraints: tuple[tuple[Mapping[int, Rat], Rat], ...] = ()
     ineq_constraints: tuple[tuple[Mapping[int, Rat], Rat], ...] = ()
-    nonneg_mask: Optional[tuple[bool, ...]] = None
 
     def dim(self) -> int:
         return len(self.objective)
-
-    def mask(self) -> tuple[bool, ...]:
-        if self.nonneg_mask is None:
-            return tuple(True for _ in self.objective)
-        return self.nonneg_mask
 
 
 @dataclass(frozen=True)
@@ -191,9 +196,10 @@ class LPResult:
     ineq_duals: Optional[tuple[Fraction, ...]] = None
 
 
-def make_lp(objective, eq=(), ineq=(), nonneg=None) -> LinearProgram:
-    """A `LinearProgram` from dense rows: each constraint row lists one
-    coefficient per variable, and every value is coerced with `rat`."""
+def make_lp(objective, eq=(), ineq=()) -> LinearProgram:
+    """A `LinearProgram` over nonnegative variables from dense rows: each
+    constraint row lists one coefficient per variable, and every value is
+    coerced with `rat`."""
     obj = tuple(rat(x) for x in objective)
     dim = len(obj)
 
@@ -206,8 +212,7 @@ def make_lp(objective, eq=(), ineq=(), nonneg=None) -> LinearProgram:
             out.append(({j: c for j, x in enumerate(row) if (c := rat(x))}, rat(b)))
         return tuple(out)
 
-    mask = None if nonneg is None else tuple(bool(b) for b in nonneg)
-    return LinearProgram(obj, sparse(eq), sparse(ineq), mask)
+    return LinearProgram(obj, sparse(eq), sparse(ineq))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +255,9 @@ class _Tableau:
     coefficient, `rhs[i]` is an int and `den[i]` a positive int shared by
     the whole row, and the three have no common factor.  The basic column
     of row i carries the entry den[i], so its value is rhs[i] / den[i].
-    Columns are numbered structural variables first, then slacks, then
-    artificials.  The reduced-cost row `obj` has the same form, with
-    minus the objective constant in `obj_rhs`.
+    Columns are numbered the LP's variables first (column j is variable
+    j), then slacks, then artificials.  The reduced-cost row `obj` has the
+    same form, with minus the objective constant in `obj_rhs`.
     """
 
     def __init__(self, rows, rhs, den, basis):
@@ -333,56 +338,47 @@ def solve_lp(lp: LinearProgram) -> LPResult:
 
     When the LP is optimal, the witness satisfies every constraint exactly
     and objective . witness == value.  Dual multipliers for all rows are
-    returned as well (used for column pricing elsewhere).
+    returned as well (used for column pricing elsewhere).  A row that is
+    not a map, a row naming a variable outside 0..dim-1, and an objective,
+    coefficient or rhs entry that is not an int or a `Fraction` are
+    refused with an `InputError`.
     """
     dim = lp.dim()
     n_eq, nslack = len(lp.eq_constraints), len(lp.ineq_constraints)
     constraints = list(lp.eq_constraints) + list(lp.ineq_constraints)
-    mask = lp.mask()
-    if len(mask) != dim:
-        raise InputError("nonneg_mask length does not match objective")
 
-    # map original variables to nonnegative columns: free x -> x+ - x-
-    col_of_var: dict[int, tuple[int, Optional[int]]] = {}
-    nstruct = 0
-    for i in range(dim):
-        if mask[i]:
-            col_of_var[i] = (nstruct, None)
-            nstruct += 1
-        else:
-            col_of_var[i] = (nstruct, nstruct + 1)
-            nstruct += 2
+    def rational(x):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            return x
+        raise InputError(f"LP entry {x!r} is not an int or a Fraction")
 
     def split(row) -> dict:
-        """{column: coefficient} of a sparse row {variable: coefficient}."""
+        """The nonzero entries of a sparse row {variable: coefficient}."""
         if not isinstance(row, Mapping):
             raise InputError(f"constraint row is a {type(row).__name__}, "
                              "not a map {variable: coefficient}")
         out = {}
         for i, c in row.items():
-            cols = col_of_var.get(i)
-            if cols is None:
+            if not (isinstance(i, int) and 0 <= i < dim):
                 raise InputError(f"constraint row names variable {i!r}, "
                                  f"outside 0..{dim - 1}")
-            if c:
-                p, m = cols
-                out[p] = c
-                if m is not None:
-                    out[m] = -c
+            if rational(c):
+                out[i] = c
         return out
 
+    objective = split(dict(enumerate(lp.objective)))
     # rows are scaled to ints: equalities first, then inequalities, whose
-    # slack columns follow the structural ones
-    art_base = nstruct + nslack
+    # slack columns follow the variable columns
+    art_base = dim + nslack
     rows, rhs, den, basis = [], [], [], []
     row_sign = []
     art_col_of_row = {}
     for i, (row, b) in enumerate(constraints):
         coefs = split(row)
-        ints, scale = int_scaled([*coefs.values(), b])
+        ints, scale = int_scaled([*coefs.values(), rational(b)])
         irow = dict(zip(coefs, ints))  # zip leaves out the rhs, ints[-1]
         irhs = ints[-1]
-        slack = nstruct + i - n_eq if i >= n_eq else None
+        slack = dim + i - n_eq if i >= n_eq else None
         if slack is not None:
             irow[slack] = scale
         # normalize rhs >= 0 (negating the whole slack-augmented equation)
@@ -422,7 +418,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
                 if j is not None:
                     tab.pivot(r, j)
 
-    tab.set_objective(split(dict(enumerate(lp.objective))))
+    tab.set_objective(objective)
     status = tab.run(art_base)
     if status == "unbounded":
         return LPResult(status="unbounded")
@@ -430,11 +426,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     values = [Fraction(0)] * ncols
     for r, b in enumerate(tab.basis):
         values[b] = tab.value_of(r)
-    witness = []
-    for i in range(dim):
-        p, m = col_of_var[i]
-        witness.append(values[p] - (values[m] if m is not None else Fraction(0)))
-    witness = tuple(witness)
+    witness = tuple(values[:dim])
     value = sum(c * w for c, w in zip(lp.objective, witness))
 
     # duals: the reduced cost of a slack column is -y for its (stored) row,
@@ -443,7 +435,7 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     # which was attached after normalization, so the row sign reappears.
     eq_duals = tuple(-row_sign[i] * tab.reduced_cost(art_col_of_row[i])
                      for i in range(n_eq))
-    ineq_duals = tuple(-tab.reduced_cost(nstruct + k) for k in range(nslack))
+    ineq_duals = tuple(-tab.reduced_cost(dim + k) for k in range(nslack))
     return LPResult(status="optimal", value=value, witness=witness,
                     eq_duals=eq_duals, ineq_duals=ineq_duals)
 

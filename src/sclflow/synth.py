@@ -30,6 +30,7 @@ from .graphs import (
     abstract_graph,
     connectivity,
     flow_from_edges,
+    flow_to_json,
     graph_to_json,
     isomorphic,
     positive_flow,
@@ -133,8 +134,6 @@ class SynthesisResult:
     checks: dict
 
     def to_json(self) -> dict:
-        from .graphs import flow_to_json
-
         return {
             "graph": graph_to_json(self.graph),
             "canonical_graph": graph_to_json(self.canonical_graph),
@@ -167,6 +166,8 @@ def step3_concretize(g: MDGraph, f_vals: Sequence[int], weights: Sequence[int],
     Returns the flow and, per graph edge, the list of complete digraph
     edges realizing it.
     """
+    f_vals = [as_int(v) for v in f_vals]
+    weights = [as_int(w) for w in weights]
     n = len(vertex_weight)
     plus_pool = [i for i, w in enumerate(vertex_weight) if w == 1]
     minus_pool = [i for i, w in enumerate(vertex_weight) if w == -1]
@@ -187,8 +188,8 @@ def step3_concretize(g: MDGraph, f_vals: Sequence[int], weights: Sequence[int],
         edge_values[(a, b)] = edge_values.get((a, b), 0) + amount
 
     for idx, (t, h) in enumerate(g.edges):
-        s = int(weights[idx])
-        amount = int(f_vals[idx])
+        s = weights[idx]
+        amount = f_vals[idx]
         p, q = spots[t], spots[h]
         path = [p]
         if s >= 0:

@@ -104,9 +104,7 @@ def solve_lp_dense(lp: LinearProgram) -> LPResult:
     for row, _ in list(lp.eq_constraints) + list(lp.ineq_constraints):
         if any(not 0 <= i < dim for i in row):
             raise InputError(f"constraint row names a variable outside 0..{dim - 1}")
-    mask = lp.mask()
-    if len(mask) != dim:
-        raise InputError("nonneg_mask length does not match objective")
+    mask = (True,) * dim  # every variable is nonnegative
 
     # map original variables to nonnegative columns: free x -> x+ - x-
     col_of_var: list[tuple[int, Optional[int]]] = []

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sclflow.bounds import (
-    conjecture_check,
     generic_check,
     lower_bound,
     min_vanishing,
@@ -16,6 +15,7 @@ from sclflow.bounds import (
     upper_bound_C,
     vanishing_combinations,
 )
+from sclflow.engine import conjecture_check
 from sclflow.errors import InputError
 from sclflow.words import make_word, matrix, parse_word
 

@@ -251,7 +251,7 @@ def test_hamiltonian_cycle_counts():
     assert len(hamiltonian_cycles([0, 1], 2)) == 1
     assert len(hamiltonian_cycles([0, 1, 2], 3)) == 2
     assert len(hamiltonian_cycles([0, 1, 2, 3], 4)) == 6
-    assert len(hamiltonian_cycles([2], 4)) == 1  # the loop
+    assert hamiltonian_cycles([2], 4) == [cycle_flow(4, [2])]  # the loop
 
 
 def test_hamiltonian_limit():

@@ -24,7 +24,7 @@ from sclflow.hardness import (
     verify_table_properties,
 )
 from sclflow.graphs import mdgraph
-from sclflow.synth import lemma_numbers, step2_weights
+from sclflow.synth import lemma_numbers, step2_weights, step3_concretize
 from sclflow.words import render_word
 
 F = Fraction
@@ -298,6 +298,7 @@ def test_instance_json_round_trip():
     lambda: build_table([1, -1], 1.5),
     lambda: table_witness_from_base(build_table([1, -1, 2, -2], 2), [1.0, 1, 0, 0]),
     lambda: collapse([[1.5, 0], [-1.5, 0]], 2),
+    lambda: collapse([[1, 2], [-1, -2]], 1.5),
     lambda: small_scl_instance([1.5, -1.2]),
     lambda: j_pair_certificate([1, 1, -1, -1, 2, -2], [0.0, 2]),
     lambda: decide_small_scl([1.5, -1.2, 3]),
@@ -306,11 +307,13 @@ def test_instance_json_round_trip():
     lambda: essential_gadget_answer([1.5, 2]),
     lambda: lemma_numbers([1.5, 2]),
     lambda: step2_weights(mdgraph(2, [(0, 1), (1, 0)]), [1.5, 1], 0),
+    lambda: step3_concretize(mdgraph(1, [(0, 0)]), [1.7], [0.5], [1, -1, 1, -1]),
 ], ids=["instance", "instance-vector", "append_balance", "build_table",
         "build_table-r", "table_witness_from_base", "collapse",
-        "small_scl_instance", "j_pair_certificate", "decide_small_scl",
-        "reduce_ss_to_smallscl", "essential_gadget", "essential_gadget_answer",
-        "lemma_numbers", "step2_weights"])
+        "collapse-usage_bound", "small_scl_instance", "j_pair_certificate",
+        "decide_small_scl", "reduce_ss_to_smallscl", "essential_gadget",
+        "essential_gadget_answer", "lemma_numbers", "step2_weights",
+        "step3_concretize"])
 def test_reduction_chain_refuses_non_integer_values(call):
     with pytest.raises(InputError):
         call()

@@ -51,10 +51,9 @@ def test_infeasible():
     assert solve_lp(lp).status == "infeasible"
 
 
-def test_equality_constraints_and_free_vars():
-    # max x + y with x + y = 1, y free, x >= 0, y <= 0 via ineq
-    lp = make_lp([1, 2], eq=[([1, 1], 1)], ineq=[([0, 1], 0)],
-                 nonneg=[True, False])
+def test_equality_constraints():
+    # max x + 2y with x + y = 1 and y <= 0
+    lp = make_lp([1, 2], eq=[([1, 1], 1)], ineq=[([0, 1], 0)])
     res = solve_lp(lp)
     assert res.status == "optimal"
     assert res.value == 1  # y pushed to 0, x = 1
@@ -71,6 +70,17 @@ def test_dimension_mismatch_raises():
 def test_solve_lp_refuses_rows_that_are_not_sparse_maps_over_the_variables(row):
     with pytest.raises(InputError):
         solve_lp(LinearProgram((1, 1), ineq_constraints=((row, 1),)))
+
+
+@pytest.mark.parametrize("lp", [
+    LinearProgram((1,), ineq_constraints=(({0: 1}, 1.5),)),
+    LinearProgram((1,), ineq_constraints=(({0: 0.5}, 1),)),
+    LinearProgram((1.5,), ineq_constraints=(({0: 1}, 1),)),
+    LinearProgram((1,), ineq_constraints=(({0: True}, 1),)),
+], ids=["rhs", "coefficient", "objective", "bool"])
+def test_solve_lp_refuses_entries_that_are_not_rational(lp):
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        solve_lp(lp)
 
 
 def test_degenerate_empty_objective():
@@ -195,6 +205,14 @@ def test_rational_json_roundtrip():
         assert rat_from_json(rat_to_json(x)) == x
         obj = rat_to_json(x)
         assert set(obj) == {"num", "den"} and int(obj["den"]) > 0
+
+
+@pytest.mark.parametrize("obj", [{"num": 1.5, "den": 1}, {"num": 1, "den": 0},
+                                 {"num": "x", "den": 1}],
+                         ids=["float", "zero-den", "not-a-number"])
+def test_rational_json_refuses_what_is_not_a_rational(obj):
+    with pytest.raises(InputError):
+        rat_from_json(obj)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**9), st.integers(1, 1000))

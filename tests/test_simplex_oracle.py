@@ -38,7 +38,7 @@ def _coef(rng, frac):
     return F(v)
 
 
-def _random_lp(rng, frac=False, eqs=0, free=False, neg_rhs=False, redundant=False):
+def _random_lp(rng, frac=False, eqs=0, neg_rhs=False, redundant=False):
     nvars = rng.randint(1, 5)
     row = lambda: [_coef(rng, frac) for _ in range(nvars)]  # noqa: E731
     lo = -4 if neg_rhs else 0
@@ -55,8 +55,7 @@ def _random_lp(rng, frac=False, eqs=0, free=False, neg_rhs=False, redundant=Fals
         if len(eq) > 2:
             (r1, b1), (r2, b2) = eq[0], eq[1]
             eq.append(([c1 + c2 for c1, c2 in zip(r1, r2)], b1 + b2))
-    mask = [rng.random() < 0.7 for _ in range(nvars)] if free else None
-    return make_lp(row(), eq=eq, ineq=ineq, nonneg=mask)
+    return make_lp(row(), eq=eq, ineq=ineq)
 
 
 def test_seeded_ineq_lps():
@@ -71,11 +70,11 @@ def test_seeded_fraction_coefficients_and_negative_rhs():
         assert_same(_random_lp(rng, frac=True, neg_rhs=True))
 
 
-def test_seeded_equalities_and_free_variables():
+def test_seeded_equalities():
     rng = random.Random(13)
     for _ in range(150):
         assert_same(_random_lp(rng, frac=True, eqs=rng.randint(1, 3),
-                               free=True, neg_rhs=True))
+                               neg_rhs=True))
 
 
 def test_seeded_redundant_equalities_drive_out():
@@ -83,7 +82,7 @@ def test_seeded_redundant_equalities_drive_out():
     statuses = set()
     for _ in range(150):
         res = assert_same(_random_lp(rng, frac=True, eqs=rng.randint(1, 3),
-                                     free=True, neg_rhs=True, redundant=True))
+                                     neg_rhs=True, redundant=True))
         statuses.add(res.status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
@@ -98,11 +97,11 @@ def test_redundant_equality_keeps_artificial_basic():
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 3),
-       st.booleans(), st.booleans(), st.booleans())
-def test_random_lps_match_reference(seed, frac, eqs, free, neg_rhs, redundant):
+       st.booleans(), st.booleans())
+def test_random_lps_match_reference(seed, frac, eqs, neg_rhs, redundant):
     rng = random.Random(seed)
-    assert_same(_random_lp(rng, frac=frac, eqs=eqs, free=free,
-                           neg_rhs=neg_rhs, redundant=redundant))
+    assert_same(_random_lp(rng, frac=frac, eqs=eqs, neg_rhs=neg_rhs,
+                           redundant=redundant))
 
 
 def _value_over_all_discs(word, bound):
