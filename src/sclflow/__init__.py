@@ -25,7 +25,6 @@ from .bounds import (
 )
 from .cones import (
     ConeSpec,
-    cache_info,
     clear_caches,
     cone_spec,
     enumerate_disc_vectors,

@@ -13,15 +13,16 @@ double-description method: the orthant of flow coordinates is cut by one
 conservation or weight equation at a time, in integers, with a
 combinatorial adjacency test.
 
-The weight of a flow depends only on its outflow vector, so V(z) is
-determined by the row space of z; `lp_columns`, the one memo, keys its
-results on the reduced row echelon form of z, which canonically represents
-that space.
+Disc vectors come from one enumerator, `priced_discs`: tables with
+prescribed annihilating row and column sums, cut as soon as their running
+cost under nonnegative integer entry costs reaches a budget.  Without costs
+it lists every disc up to the bound (`enumerate_disc_vectors`); with the
+integer-scaled duals of a packing LP it is that LP's pricing oracle.
+Nothing here is memoized.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,13 +32,11 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, LimitExceeded
 from .graphs import Flow, outflow_vector, reachable
-from .linprog import rref
 from .words import ExponentMatrix, matrix, validate_Mn
 
 DISC_N_LIMIT = 8
 DISC_BOUND_LIMIT = 6
 RAY_N_LIMIT = 5
-COLUMN_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -52,9 +51,6 @@ class ConeSpec:
             raise InputError("cone rows must hold integers")
         if not validate_Mn(ExponentMatrix(self.n, self.rows)):
             raise InputError("cone rows violate a membership condition")
-
-    def key(self):
-        return (self.n, rref(self.rows))
 
 
 def cone_spec(n, rows) -> ConeSpec:
@@ -118,40 +114,56 @@ def _annihilating_outflows(spec: ConeSpec, bound: int) -> list[tuple[int, ...]]:
             if any(o) and not any(_weights(spec, o))]
 
 
-def _iter_tables(sums: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All nonnegative integer n x n matrices with row sums and column sums
-    both equal to `sums`."""
+def _iter_tables(sums: tuple[int, ...], costs, budget: int
+                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All nonnegative integer n x n matrices t with row sums and column
+    sums both equal to `sums` and cost sum(costs[i][j] * t[i][j]) below
+    `budget`, for int costs >= 0.  The running cost only grows, so a row,
+    or a partial row, is dropped once it reaches the budget."""
     n = len(sums)
     total = sum(sums)
 
-    def compositions(amount, caps, idx, acc):
+    def compositions(amount, caps, cost_row, room, idx, acc):
+        # room = budget - running cost, always positive here
+        c = cost_row[idx]
         if idx == n - 1:
-            if amount <= caps[idx]:
-                yield acc + (amount,)
+            if amount <= caps[idx] and amount * c < room:
+                yield acc + (amount,), room - amount * c
             return
         top = min(amount, caps[idx])
+        if c:
+            top = min(top, (room - 1) // c)
         for v in range(top + 1):
-            yield from compositions(amount - v, caps, idx + 1, acc + (v,))
+            yield from compositions(amount - v, caps, cost_row, room - v * c,
+                                    idx + 1, acc + (v,))
 
-    def rec(i, cols_left, rows_acc, remaining_total):
+    def rec(i, cols_left, rows_acc, remaining_total, room):
         if i == n:
             yield tuple(rows_acc)
             return
         after = remaining_total - sums[i]
-        for row in compositions(sums[i], cols_left, 0, ()):
+        for row, left in compositions(sums[i], cols_left, costs[i], room, 0, ()):
             new_cols = tuple(c - v for c, v in zip(cols_left, row))
             if max(new_cols, default=0) > after:
                 continue
             rows_acc.append(row)
-            yield from rec(i + 1, new_cols, rows_acc, after)
+            yield from rec(i + 1, new_cols, rows_acc, after, left)
             rows_acc.pop()
 
-    yield from rec(0, sums, [], total)
+    yield from rec(0, sums, [], total, budget)
 
 
-def enumerate_disc_vectors(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
-    """Exactly the integral cone members with strongly connected support and
-    every outflow <= bound, in a deterministic order."""
+def priced_discs(spec: ConeSpec, bound: int, costs=None,
+                 budget: int = 1) -> Iterator[Flow]:
+    """The disc vectors with every outflow <= bound and cost
+    sum(costs[i][j] * d[i][j]) < budget, for an n x n table of int costs
+    >= 0 (all zero when omitted), in `enumerate_disc_vectors`' order.
+
+    Tables are cut while they are built, as soon as their running cost
+    reaches the budget, so a pricing round visits only the tables that can
+    still price in.  The limits are checked when this is called, before
+    the first disc is produced.
+    """
     if spec.n > DISC_N_LIMIT:
         raise LimitExceeded(f"disc enumeration limited to n <= {DISC_N_LIMIT}")
     if bound < 0:
@@ -159,28 +171,29 @@ def enumerate_disc_vectors(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
     if bound > DISC_BOUND_LIMIT:
         raise LimitExceeded(f"disc enumeration limited to bound <= {DISC_BOUND_LIMIT}")
     n = spec.n
-    found = []
-    for o in sorted(_annihilating_outflows(spec, bound)):
-        for entries in _iter_tables(o):
-            support = [(i, j) for i, row in enumerate(entries)
-                       for j, v in enumerate(row) if v]
-            if _support_strongly_connected(support):
-                found.append(Flow(n, entries))
-    return tuple(found)
+    if costs is None:
+        costs = ((0,) * n,) * n
+
+    def discs():
+        for o in sorted(_annihilating_outflows(spec, bound)):
+            for entries in _iter_tables(o, costs, budget):
+                support = [(i, j) for i, row in enumerate(entries)
+                           for j, v in enumerate(row) if v]
+                if _support_strongly_connected(support):
+                    yield Flow(n, entries)
+
+    return discs()
 
 
-# (row-space key, bound) -> lp_columns result, least recently used first
-_COLUMN_CACHE: OrderedDict = OrderedDict()
+def enumerate_disc_vectors(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
+    """Exactly the integral cone members with strongly connected support and
+    every outflow <= bound, in a deterministic order."""
+    return tuple(priced_discs(spec, bound))
 
 
 def clear_caches() -> None:
-    """Empty the memo of `lp_columns`."""
-    _COLUMN_CACHE.clear()
-
-
-def cache_info() -> dict[str, int]:
-    """Number of entries in the memo of `lp_columns`."""
-    return {"lp_columns": len(_COLUMN_CACHE)}
+    """Nothing to clear: the package keeps no memo.  Kept so that callers
+    which clear caches between timed runs keep working."""
 
 
 def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
@@ -194,16 +207,10 @@ def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
     v = d - e is such a member.  The discs are scanned by increasing mass,
     and d is kept unless a kept vector lies below it: domination is
     transitive, so the kept vectors alone find every dominated disc.
-    Supports are compared as int bitmasks before the entries are.
-
-    Memoized under (spec.key(), bound); beyond COLUMN_CACHE_SIZE entries the
-    least recently used one is dropped.
+    Supports are compared as int bitmasks before the entries are.  The scl
+    engine does not use this list: it prices its columns with
+    `priced_discs`.
     """
-    key = (spec.key(), bound)
-    hit = _COLUMN_CACHE.get(key)
-    if hit is not None:
-        _COLUMN_CACHE.move_to_end(key)
-        return hit
     discs = sorted(enumerate_disc_vectors(spec, bound),
                    key=lambda f: (sum(map(sum, f.entries)), f.entries))
     kept = []  # (support mask, flat entries, disc) of the minimal vectors so far
@@ -214,11 +221,7 @@ def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
         if not any(me & ~mask == 0 and all(map(le, ve, values))
                    for me, ve, _e in kept):
             kept.append((mask, values, d))
-    result = tuple(sorted((d for _m, _v, d in kept), key=lambda f: f.entries))
-    _COLUMN_CACHE[key] = result
-    if len(_COLUMN_CACHE) > COLUMN_CACHE_SIZE:
-        _COLUMN_CACHE.popitem(last=False)
-    return result
+    return tuple(sorted((d for _m, _v, d in kept), key=lambda f: f.entries))
 
 
 # ---------------------------------------------------------------------------

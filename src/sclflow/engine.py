@@ -7,19 +7,18 @@ Unit outflow plus the pairing identity make every cone condition automatic,
 so the feasible v_A are exactly the doubly stochastic n x n matrices and
 v_B is the entrywise image (v_B)[k][i] = (v_A)[i][k+1 mod n].
 
-The columns of each side are the essential disc vectors up to the outflow
-bound (`cones.lp_columns`), and every LP runs column generation: a
-restricted LP is solved and seeded with new columns of positive reduced
-cost until none remain, which certifies the optimum over the full column
-set.  Each LP is built straight from sparse integer rows.  Truncation to
-outflow bound B can only shrink the admissible decompositions, so the
-computed value is always an upper bound for scl.  It is reported as
-`stabilized` when it meets the combinatorial lower bound, or when two
-consecutive bounds agree.
-Each LP is a deterministic function of its two column sets, which depend
-on the word only through its two row spaces, so the only memo on this path
-is the column memo of `cones.lp_columns`.  `conjecture_check` sets the
-computed value of a four-block family against its predicted closed form.
+The columns of each side are the disc vectors up to the outflow bound, and
+every LP runs column generation: a restricted LP starts from the discs of
+outflow at most one, and each round the pricing oracle
+`cones.priced_discs`, reading entry costs off the LP's duals, lists exactly
+the discs of positive reduced cost.  Once there are none, the optimum holds
+over every disc.  Each LP is built straight from sparse integer rows.
+Truncation to outflow bound B can only shrink the admissible
+decompositions, so the computed value is always an upper bound for scl.
+It is reported as `stabilized` when it meets the combinatorial lower
+bound, or when two consecutive bounds agree.  Nothing on this path is
+memoized.  `conjecture_check` sets the computed value of a four-block
+family against its predicted closed form.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from math import gcd
 from typing import Optional
 
 from .bounds import lower_bound
-from .cones import ConeSpec, cone_spec, in_cone, lp_columns
+from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, priced_discs
 from .errors import InputError, InternalCheckError, LimitExceeded
 from .graphs import Flow, flow_to_json
 from .linprog import LinearProgram, int_scaled, rat_to_json, solve_lp
@@ -56,72 +55,61 @@ def is_paired(v_a: Flow, v_b: Flow) -> bool:
 # Packing LP with lazy column generation
 # ---------------------------------------------------------------------------
 
-def _sparse_columns(discs, offset: int = 0) -> list[dict[int, int]]:
-    """Each disc vector as a packing column {row: coefficient}: entry (i, j)
-    of an n x n disc lands in row offset + i*n + j."""
-    return [{offset + i * d.n + j: int(v)
-             for i, row in enumerate(d.entries) for j, v in enumerate(row) if v}
-            for d in discs]
-
-
-def _solve_packing(eq_rows, n_fixed, capacity_rows, column_groups):
+def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bound):
     """Maximize sum(t) over the fixed variables a (indices 0..n_fixed-1)
-    and one weight t_d >= 0 per column, subject to
+    and one weight t_d >= 0 per disc column d, subject to
 
-        row . a = rhs                           per (row, rhs) in eq_rows
-        row . a + sum_d t_d * col_d[r] <= rhs   per (row, rhs) in capacity_rows
+        row . a = rhs                             per (row, rhs) in eq_rows
+        row . a + sum_d t_d * d[i][j] <= rhs      per capacity row
 
-    Every row is a sparse integer map {fixed variable: coefficient}, and
-    capacity row r is row r of the packing.  Each column in
-    `column_groups` is a sparse map {packing row: coefficient} whose
-    variable follows the fixed ones.
+    Every row is a sparse integer map {fixed variable: coefficient}.  The
+    columns are the discs with outflow <= bound of each side (spec, first)
+    in `sides`; entry (i, j) of a side's n x n disc lands in capacity row
+    first + i*n + j, and its variable follows the fixed ones.
 
-    Every call runs column generation (Gilmore-Gomory): the restricted LP
-    starts from the lightest columns of each group and takes in, each
-    round, the _CG_BATCH columns of largest positive reduced cost.  Once no
-    column prices in, its optimum is optimal over every column.
-    Returns (LPResult over all columns, list of active column ids).
+    Every call runs column generation (Gilmore-Gomory).  The restricted LP
+    starts from each side's discs of outflow <= 1.  Each round the ineq
+    duals y, over one common denominator L, are the entry costs of
+    `priced_discs`: it yields exactly the discs with L*(y.d) < L, those of
+    positive reduced cost 1 - y.d, and the _CG_BATCH of largest reduced
+    cost join, ordered by (-reduced cost, side, entries).  A column already
+    in the LP has reduced cost <= 0 at its optimum, so it never prices in
+    again.  Once no disc prices in, the optimum holds over every column.
+    Returns (LPResult, list of (side, disc) columns in variable order).
     """
-    all_cols = [col for group in column_groups for col in group]
-
-    def build_lp(active_ids):
-        ineqs = [(dict(row), rhs) for row, rhs in capacity_rows]
-        for k, cid in enumerate(active_ids, n_fixed):
-            for r, cf in all_cols[cid].items():
-                ineqs[r][0][k] = cf
-        obj = (0,) * n_fixed + (1,) * len(active_ids)
-        return LinearProgram(obj, tuple(eq_rows), tuple(ineqs))
-
-    # start with the lightest columns per group (deterministic)
-    active = []
-    first = 0
-    for group in column_groups:
-        masses = [sum(col.values()) for col in group]
-        cheapest = min(masses, default=0)
-        light = [first + ci for ci, m in enumerate(masses) if m <= cheapest]
-        active.extend(light[:_CG_BATCH])
-        first += len(group)
-
+    for spec, _first in sides:
+        priced_discs(spec, bound)  # refuse a bound out of range before any LP
+    columns = [(side, d) for side, (spec, _first) in enumerate(sides)
+               for d in priced_discs(spec, min(bound, 1))]
     while True:
-        res = solve_lp(build_lp(active))
-        if res.status != "optimal":
-            return res, active
-        # price in integers: with the duals over one common denominator L,
-        # L * (reduced cost) = L - sum(y_r * c_r) has the sign and order
-        # of the reduced cost itself
+        ineqs = [(dict(row), rhs) for row, rhs in capacity_rows]
+        for k, (side, d) in enumerate(columns, n_fixed):
+            first = sides[side][1]
+            for i, row in enumerate(d.entries):
+                for j, v in enumerate(row):
+                    if v:
+                        ineqs[first + i * d.n + j][0][k] = v
+        obj = (0,) * n_fixed + (1,) * len(columns)
+        res = solve_lp(LinearProgram(obj, tuple(eq_rows), tuple(ineqs)))
+        if res.status != "optimal" or bound <= 1:  # the start is every column
+            return res, columns
         duals, scale = int_scaled(res.ineq_duals)
-        active_set = set(active)
-        violating = []
-        for cid, col in enumerate(all_cols):
-            if cid in active_set:
-                continue
-            rc = scale - sum(duals[r] * cf for r, cf in col.items())
-            if rc > 0:
-                violating.append((rc, cid))
-        if not violating:
-            return res, active
-        violating.sort(key=lambda p: (-p[0], p[1]))
-        active = sorted(active_set | {cid for _rc, cid in violating[:_CG_BATCH]})
+        if any(y < 0 for y in duals):
+            # the cut in priced_discs assumes costs that only grow
+            raise InternalCheckError("negative packing dual at an optimum")
+        priced = []
+        for side, (spec, first) in enumerate(sides):
+            n = spec.n
+            costs = [duals[first + i * n:first + (i + 1) * n] for i in range(n)]
+            for d in priced_discs(spec, bound, costs, scale):
+                cost = sum(c * v for crow, drow in zip(costs, d.entries)
+                           for c, v in zip(crow, drow))
+                # cost - scale = -L * (reduced cost)
+                priced.append((cost - scale, side, d.entries, d))
+        if not priced:
+            return res, columns
+        priced.sort(key=lambda p: p[:3])
+        columns.extend((side, d) for _c, side, _e, d in priced[:_CG_BATCH])
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +125,8 @@ def klein_value(spec: ConeSpec, v: Flow, bound: int) -> Fraction:
     """
     if not in_cone(spec, v):
         raise InputError("flow is not in the cone of this spec")
-    columns = _sparse_columns(lp_columns(spec, bound))
     capacity = [({}, Fraction(c)) for row in v.entries for c in row]
-    res, _active = _solve_packing([], 0, capacity, [columns])
+    res, _columns = _solve_packing([], 0, capacity, [(spec, 0)], bound)
     if res.status != "optimal":
         raise InternalCheckError(f"klein LP ended with status {res.status}")
     return res.value
@@ -205,20 +192,15 @@ def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
     n = spec_x.n
     nn = n * n
 
-    cols_x = lp_columns(spec_x, bound)
-    cols_y = lp_columns(spec_y, bound)
-
     # packing rows 0..nn-1: side A at entry (i, j) capped by a[i][j]
     # packing rows nn..2nn-1: side B at entry (k, i) capped by a[i][k+1 mod n]
-    col_group_a = _sparse_columns(cols_x)
-    col_group_b = _sparse_columns(cols_y, nn)
-
     # unit outflow, then unit inflow (conservation at outflow one), of v_A
     eq_rows = [({i * n + j: 1 for j in range(n)}, 1) for i in range(n)] + \
               [({i * n + j: 1 for i in range(n)}, 1) for j in range(n)]
     capacity = [({r: -1}, 0) for r in range(nn)] + \
                [({i * n + (k + 1) % n: -1}, 0) for k in range(n) for i in range(n)]
-    res, active = _solve_packing(eq_rows, nn, capacity, [col_group_a, col_group_b])
+    res, columns = _solve_packing(eq_rows, nn, capacity,
+                                  [(spec_x, 0), (spec_y, nn)], bound)
     if res.status != "optimal":
         raise InternalCheckError(
             f"paired unit-outflow LP ended with status {res.status}; "
@@ -227,22 +209,15 @@ def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
     v_a = Flow(n, tuple(tuple(res.witness[i * n + j] for j in range(n))
                         for i in range(n)))
     v_b = pair_flow(v_a)
-    weights_a, parts_a, weights_b, parts_b = [], [], [], []
-    ncols_a = len(col_group_a)
-    for k, cid in enumerate(active):
-        t = res.witness[nn + k]
-        if t == 0:
-            continue
-        if cid < ncols_a:
-            weights_a.append(t)
-            parts_a.append(cols_x[cid])
-        else:
-            weights_b.append(t)
-            parts_b.append(cols_y[cid - ncols_a])
+    decomposed = ([], []), ([], [])  # (weights, parts) of side A, then side B
+    for t, (side, d) in zip(res.witness[nn:], columns):
+        if t:
+            decomposed[side][0].append(t)
+            decomposed[side][1].append(d)
     cert = SclCertificate(
         v_a=v_a, v_b=v_b,
-        side_a=SideDecomposition(tuple(weights_a), tuple(parts_a)),
-        side_b=SideDecomposition(tuple(weights_b), tuple(parts_b)))
+        side_a=SideDecomposition(*map(tuple, decomposed[0])),
+        side_b=SideDecomposition(*map(tuple, decomposed[1])))
     return res.value, cert
 
 
@@ -331,7 +306,7 @@ def verify_certificate(result: SclResult, w: Word) -> bool:
     for side, v, spec in ((cert.side_a, v_a, spec_x), (cert.side_b, v_b, spec_y)):
         total = [[Fraction(0)] * n for _ in range(n)]
         for t, d in zip(side.weights, side.parts):
-            if t < 0 or not in_cone(spec, d):
+            if t < 0 or not is_disc_vector(spec, d):
                 return False
             for i in range(n):
                 for j in range(n):

@@ -304,12 +304,21 @@ def flow_from_entries(n, entries) -> Flow:
     return f
 
 
-def flow_from_edges(n, edge_values) -> Flow:
-    """Build a flow from {(i, j): value}; conservation is checked."""
+def _edge_table(n, edge_values) -> list[list]:
+    """((i, j), value) pairs summed into an n x n table; vertex ids outside
+    0..n-1 are refused."""
     entries = [[0] * n for _ in range(n)]
-    for (i, j), v in edge_values.items():
+    for (i, j), v in edge_values:
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputError(f"edge ({i},{j}) out of range for {n} vertices")
         entries[i][j] += v
-    return flow_from_entries(n, entries)
+    return entries
+
+
+def flow_from_edges(n, edge_values) -> Flow:
+    """Build a flow from {(i, j): value}; vertex ids and conservation are
+    checked."""
+    return flow_from_entries(n, _edge_table(n, edge_values.items()))
 
 
 def zero_flow(n: int) -> Flow:
@@ -319,16 +328,15 @@ def zero_flow(n: int) -> Flow:
 def cycle_flow(n: int, vertices: Sequence[int]) -> Flow:
     """Unit flow along the directed cycle visiting `vertices` in order.
 
-    A single vertex gives the loop at that vertex.
+    A single vertex gives the loop at that vertex.  A cycle is conserved by
+    construction, so conservation is not checked again.
     """
     k = len(vertices)
     if k == 0:
         raise InputError("empty cycle")
-    vals: dict[tuple[int, int], int] = {}
-    for idx in range(k):
-        e = (vertices[idx], vertices[(idx + 1) % k])
-        vals[e] = vals.get(e, 0) + 1
-    return flow_from_edges(n, vals)
+    entries = _edge_table(n, (((vertices[idx], vertices[(idx + 1) % k]), 1)
+                              for idx in range(k)))
+    return Flow(n, tuple(map(tuple, entries)))
 
 
 def outflow_vector(f: Flow) -> tuple:

@@ -3,12 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from sclflow import cones
 from sclflow.cones import (
     ConeSpec,
     _support_strongly_connected,
-    cache_info,
-    clear_caches,
     cone_spec,
     enumerate_disc_vectors,
     extremal_rays,
@@ -19,6 +16,7 @@ from sclflow.cones import (
     iter_bounded_flows,
     iter_cone_members,
     lp_columns,
+    priced_discs,
     weight_vector,
 )
 from sclflow.errors import InputError, InternalCheckError, LimitExceeded
@@ -174,22 +172,31 @@ def test_lp_columns_random_cone_are_the_essential_discs():
     assert len(cols) < len(discs)
 
 
-def test_column_memo_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(cones, "COLUMN_CACHE_SIZE", 2)
-    third = cone_spec(3, [[2, -1, -1]])
-    clear_caches()
-    try:
-        first = lp_columns(SPEC2, 1)
-        second = lp_columns(SPEC3, 1)
-        assert lp_columns(SPEC2, 1) is first  # a hit, now the most recent
-        lp_columns(third, 1)  # evicts SPEC3, the least recently used
-        assert cache_info() == {"lp_columns": 2}
-        assert lp_columns(SPEC2, 1) is first
-        again = lp_columns(SPEC3, 1)
-        assert again == second and again is not second
-        assert cache_info() == {"lp_columns": 2}
-    finally:
-        clear_caches()
+@pytest.mark.parametrize("n,rows,bound", [
+    (4, [[-3, 1, 1, 1]], 3),  # the (1,1,1) sweep word's a-side
+    (4, [[-1, 1, -1, 1]], 3),  # the sweep's b-side
+    (4, [[2, -1, 1, -2], [1, 1, 0, -2]], 2),
+])
+def test_priced_discs_are_the_discs_below_the_budget(n, rows, bound):
+    # cutting tables by their running cost keeps exactly the discs whose
+    # full cost is below the budget, in the order of the full list
+    spec = cone_spec(n, rows)
+    discs = enumerate_disc_vectors(spec, bound)
+    rng = random.Random(31)
+    for _ in range(8):
+        costs = [[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
+                 for _ in range(n)]
+        budget = rng.randint(1, 12)
+
+        def cost(d):
+            return sum(c * v for crow, drow in zip(costs, d.entries)
+                       for c, v in zip(crow, drow))
+
+        assert list(priced_discs(spec, bound, costs, budget)) == \
+            [d for d in discs if cost(d) < budget]
+    assert list(priced_discs(spec, bound)) == list(discs)
+    with pytest.raises(LimitExceeded):
+        priced_discs(spec, 7)  # refused when called, not when first read
 
 
 def test_support_connectivity_checks_the_flow_fact():

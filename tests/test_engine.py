@@ -6,6 +6,9 @@ import pytest
 from sclflow.bounds import lower_bound, universal_word
 from sclflow.cones import cone_spec, in_cone
 from sclflow.engine import (
+    SclCertificate,
+    SclResult,
+    SideDecomposition,
     klein_value,
     pair_flow,
     is_paired,
@@ -186,38 +189,48 @@ def test_basis_change_leaves_value_unchanged():
     assert scl(other).value == scl(w).value
 
 
-def test_clear_caches_empties_every_memo():
-    import sclflow
-    from sclflow import cones
+def test_unstabilized_scl_solves_only_at_its_bound(monkeypatch):
+    from sclflow import engine
 
-    sclflow.clear_caches()
-    assert sclflow.cache_info() == {"lp_columns": 0}
-    sclflow.scl(parse_word("a b a^-1 b^-1"))
-    info = sclflow.cache_info()
-    assert info["lp_columns"] > 0
-    assert info == {"lp_columns": len(cones._COLUMN_CACHE)}
-    sclflow.clear_caches()
-    assert not cones._COLUMN_CACHE
-    assert sclflow.cache_info() == {"lp_columns": 0}
+    bounds, solved = [], []
+    scl_lp, solve = engine._scl_lp, engine.solve_lp
 
+    def recording_scl_lp(spec_x, spec_y, bound):
+        bounds.append(bound)
+        return scl_lp(spec_x, spec_y, bound)
 
-def test_unstabilized_scl_solves_only_at_its_bound():
-    import sclflow
-    from sclflow import cones
+    def recording_solve(lp):
+        solved.append(lp)
+        return solve(lp)
 
+    monkeypatch.setattr(engine, "_scl_lp", recording_scl_lp)
+    monkeypatch.setattr(engine, "solve_lp", recording_solve)
     w = parse_word("a^-3 b^-1 a b a b^-1 a b")
-    sclflow.clear_caches()
-    try:
-        res = scl(w, bound=3, stabilize=False)
-        assert (res.bound_used, res.status) == (3, "upper_bound")
-        assert {bound for _key, bound in cones._COLUMN_CACHE} == {3}
-        sclflow.clear_caches()
-        # bound 7 is refused before any LP at a smaller bound is solved
-        with pytest.raises(LimitExceeded):
-            scl(w, bound=7, stabilize=False)
-        assert sclflow.cache_info() == {"lp_columns": 0}
-    finally:
-        sclflow.clear_caches()
+    res = scl(w, bound=3, stabilize=False)
+    assert (res.bound_used, res.status) == (3, "upper_bound")
+    assert bounds == [3]
+    # bound 7 is refused before any LP is solved
+    bounds.clear()
+    solved.clear()
+    with pytest.raises(LimitExceeded):
+        scl(w, bound=7, stabilize=False)
+    assert bounds == [7] and not solved
+
+
+def test_certificate_with_a_forged_part_is_refused():
+    # one part per side, v/10 with weight 10, claims kappa 20 and value -9;
+    # the parts are cone members but not integral, so not disc vectors
+    w = parse_word("a b a^-1 b^-1")
+    res = scl(w)
+    cert = res.certificate
+    forged = SclCertificate(
+        v_a=cert.v_a, v_b=cert.v_b,
+        side_a=SideDecomposition((F(10),), (cert.v_a.scale(F(1, 10)),)),
+        side_b=SideDecomposition((F(10),), (cert.v_b.scale(F(1, 10)),)))
+    claim = SclResult(value=F(-9), status=res.status, bound_used=res.bound_used,
+                      certificate=forged, word_blocks=w.n)
+    assert (w.n - forged.kappa_sum()) / 2 == -9
+    assert not verify_certificate(claim, w)
 
 
 def test_certificates_hold_on_answers_served_by_the_memo():

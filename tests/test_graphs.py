@@ -9,6 +9,7 @@ from sclflow.graphs import (
     abstract_graph,
     connectivity,
     cycle_flow,
+    flow_from_edges,
     flow_from_json,
     flow_to_json,
     graph_from_json,
@@ -26,6 +27,17 @@ from sclflow.graphs import (
 def test_outflow_two_cycle():
     f = cycle_flow(2, [0, 1])
     assert f.outflow(0) == 1 and f.inflow(0) == 1
+
+
+def test_vertex_ids_out_of_range_are_refused():
+    for vertices in ([0, -1], [0, 3], [3]):
+        with pytest.raises(InputError):
+            cycle_flow(3, vertices)
+    with pytest.raises(InputError):
+        flow_from_edges(2, {(0, 2): 1, (2, 0): 1})
+    with pytest.raises(InputError):
+        flow_from_edges(2, {(-1, -1): 1})
+    assert cycle_flow(3, [2, 0]) == flow_from_edges(3, {(2, 0): 1, (0, 2): 1})
 
 
 def test_outflow_zero_flow():

@@ -4,12 +4,15 @@ per-layer counters must read the program's data as it is."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
+import sclflow
 from sclflow import engine
 from sclflow.words import parse_word
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -24,6 +27,18 @@ def test_traced_functions_exist():
     for mod_name, fn_name in spans.SPANNED + spans.COUNTED_GENERATORS:
         module = importlib.import_module(f"sclflow.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_functions_the_benchmark_calls_exist():
+    # run.py and workloads.py call the package as `pkg.<name>(...)` or
+    # `p.<name>(...)`; clear_caches is called before every operation
+    called = set()
+    for name in ("run.py", "workloads.py"):
+        text = (PERFBENCH / name).read_text()
+        called |= set(re.findall(r"\b(?:pkg|p)\.(\w+)\(", text))
+    assert "clear_caches" in called
+    for name in sorted(called):
+        assert callable(getattr(sclflow, name, None)), name
 
 
 def test_solve_lp_cells_count_every_row_times_every_variable(monkeypatch):
