@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .engine import DEFAULT_BOUND
 from .errors import InputError, InternalCheckError, LimitExceeded, SclflowError
 from .linprog import rat_to_json
 
@@ -27,7 +28,7 @@ EXIT_INTERNAL = 4
 
 @dataclass
 class RunConfig:
-    bound: int = 3
+    bound: int = DEFAULT_BOUND
     stabilize: bool = True
     seed: int = 0
     output: str = "text"
@@ -347,7 +348,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config file; flags win")
     common.add_argument("--bound", type=int, default=argparse.SUPPRESS,
-                        help="disc-vector outflow bound (default 3)")
+                        help=f"disc-vector outflow bound (default {DEFAULT_BOUND})")
     common.add_argument("--no-stabilize", action="store_true",
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)

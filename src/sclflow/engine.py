@@ -7,13 +7,14 @@ Unit outflow plus the pairing identity make every cone condition automatic,
 so the feasible v_A are exactly the doubly stochastic n x n matrices and
 v_B is the entrywise image (v_B)[k][i] = (v_A)[i][k+1 mod n].
 
-The columns of each side are the disc vectors up to the outflow bound, and
-every LP runs column generation: a restricted LP starts from the discs of
+The columns of each side are the disc vectors up to the outflow bound,
+found by column generation: a restricted LP starts from the discs of
 outflow at most one, and each round the pricing oracle
 `cones.priced_discs`, reading entry costs off the LP's duals, lists exactly
 the discs of positive reduced cost.  Once there are none, the optimum holds
-over every disc.  Each LP is built straight from sparse integer rows.
-Truncation to outflow bound B can only shrink the admissible
+over every disc.  The LP at bound B restricts the LP at B+1, so one run
+serves every bound tried.  Each LP is built straight from sparse integer
+rows.  Truncation to outflow bound B can only shrink the admissible
 decompositions, so the computed value is always an upper bound for scl.
 It is reported as `stabilized` when it meets the combinatorial lower
 bound, or when two consecutive bounds agree.  Nothing on this path is
@@ -55,7 +56,7 @@ def is_paired(v_a: Flow, v_b: Flow) -> bool:
 # Packing LP with lazy column generation
 # ---------------------------------------------------------------------------
 
-def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bound):
+def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
     """Maximize sum(t) over the fixed variables a (indices 0..n_fixed-1)
     and one weight t_d >= 0 per disc column d, subject to
 
@@ -67,21 +68,21 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bound):
     in `sides`; entry (i, j) of a side's n x n disc lands in capacity row
     first + i*n + j, and its variable follows the fixed ones.
 
-    Every call runs column generation (Gilmore-Gomory).  The restricted LP
-    starts from each side's discs of outflow <= 1.  Each round the ineq
-    duals y, over one common denominator L, are the entry costs of
-    `priced_discs`: it yields exactly the discs with L*(y.d) < L, those of
-    positive reduced cost 1 - y.d, and the _CG_BATCH of largest reduced
-    cost join, ordered by (-reduced cost, side, entries).  A column already
-    in the LP has reduced cost <= 0 at its optimum, so it never prices in
-    again.  Once no disc prices in, the optimum holds over every column.
-    Returns (LPResult, list of (side, disc) columns in variable order).
+    A generator over the increasing `bounds`, all served by one run of
+    column generation (Gilmore-Gomory): a disc of outflow <= B is one of
+    outflow <= B+1.  The restricted LP starts from each side's discs of
+    outflow <= 1.  Each round the ineq duals y, over one common denominator
+    L, are the entry costs of `priced_discs`: it yields exactly the discs
+    with L*(y.d) < L, of positive reduced cost 1 - y.d, and the _CG_BATCH of
+    largest reduced cost join, ordered by (-reduced cost, side, entries); a
+    column in the LP has reduced cost <= 0 at its optimum.  Once none prices
+    in at a bound, (bound, LPResult, (side, disc) columns in variable order)
+    is yielded; the next bound prices against that optimum, so the yielded
+    `columns` list grows once the generator resumes.
     """
-    for spec, _first in sides:
-        priced_discs(spec, bound)  # refuse a bound out of range before any LP
-    columns = [(side, d) for side, (spec, _first) in enumerate(sides)
-               for d in priced_discs(spec, min(bound, 1))]
-    while True:
+    res = None
+
+    def solve():
         ineqs = [(dict(row), rhs) for row, rhs in capacity_rows]
         for k, (side, d) in enumerate(columns, n_fixed):
             first = sides[side][1]
@@ -90,26 +91,35 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bound):
                     if v:
                         ineqs[first + i * d.n + j][0][k] = v
         obj = (0,) * n_fixed + (1,) * len(columns)
-        res = solve_lp(LinearProgram(obj, tuple(eq_rows), tuple(ineqs)))
-        if res.status != "optimal" or bound <= 1:  # the start is every column
-            return res, columns
-        duals, scale = int_scaled(res.ineq_duals)
-        if any(y < 0 for y in duals):
-            # the cut in priced_discs assumes costs that only grow
-            raise InternalCheckError("negative packing dual at an optimum")
-        priced = []
-        for side, (spec, first) in enumerate(sides):
-            n = spec.n
-            costs = [duals[first + i * n:first + (i + 1) * n] for i in range(n)]
-            for d in priced_discs(spec, bound, costs, scale):
-                cost = sum(c * v for crow, drow in zip(costs, d.entries)
-                           for c, v in zip(crow, drow))
-                # cost - scale = -L * (reduced cost)
-                priced.append((cost - scale, side, d.entries, d))
-        if not priced:
-            return res, columns
-        priced.sort(key=lambda p: p[:3])
-        columns.extend((side, d) for _c, side, _e, d in priced[:_CG_BATCH])
+        return solve_lp(LinearProgram(obj, tuple(eq_rows), tuple(ineqs)))
+
+    for bound in bounds:
+        for spec, _first in sides:
+            priced_discs(spec, bound)  # refuse a bound out of range before its LP
+        if res is None:
+            columns = [(side, d) for side, (spec, _first) in enumerate(sides)
+                       for d in priced_discs(spec, min(bound, 1))]
+            res = solve()
+        while res.status == "optimal" and bound > 1:  # at 1 the start is every column
+            duals, scale = int_scaled(res.ineq_duals)
+            if any(y < 0 for y in duals):
+                # the cut in priced_discs assumes costs that only grow
+                raise InternalCheckError("negative packing dual at an optimum")
+            priced = []
+            for side, (spec, first) in enumerate(sides):
+                n = spec.n
+                costs = [duals[first + i * n:first + (i + 1) * n] for i in range(n)]
+                for d in priced_discs(spec, bound, costs, scale):
+                    cost = sum(c * v for crow, drow in zip(costs, d.entries)
+                               for c, v in zip(crow, drow))
+                    # cost - scale = -L * (reduced cost)
+                    priced.append((cost - scale, side, d.entries, d))
+            if not priced:
+                break
+            priced.sort(key=lambda p: p[:3])
+            columns.extend((side, d) for _c, side, _e, d in priced[:_CG_BATCH])
+            res = solve()
+        yield bound, res, columns
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +136,7 @@ def klein_value(spec: ConeSpec, v: Flow, bound: int) -> Fraction:
     if not in_cone(spec, v):
         raise InputError("flow is not in the cone of this spec")
     capacity = [({}, Fraction(c)) for row in v.entries for c in row]
-    res, _columns = _solve_packing([], 0, capacity, [(spec, 0)], bound)
+    (_bound, res, _columns), = _solve_packing([], 0, capacity, [(spec, 0)], [bound])
     if res.status != "optimal":
         raise InternalCheckError(f"klein LP ended with status {res.status}")
     return res.value
@@ -184,14 +194,23 @@ class SclResult:
         }
 
 
-def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
-    """Optimal kappa-sum over paired unit-outflow vectors, with certificate.
+def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResult:
+    """Upper-bounding scl value at the given truncation bound.
 
-    Returns (kappa_sum, certificate).
+    With stabilization on, bounds 1, 2, ... are tried in turn in one run of
+    column generation, which stops at the first pair of consecutive equal
+    values, or as soon as the value meets the combinatorial lower bound
+    (larger bounds provably cannot move it then); the result is reported as
+    `stabilized`.  If no bound pair agrees, the value at `bound` is reported
+    with the honest `upper_bound` status.  With stabilization off, only the
+    LP at `bound` is solved, and its value is reported as `upper_bound`.
     """
-    n = spec_x.n
+    if w.n > SCL_N_LIMIT:
+        raise LimitExceeded(f"scl computation limited to {SCL_N_LIMIT} blocks per side")
+    if bound < 1:
+        raise InputError("bound must be at least 1")
+    n = w.n
     nn = n * n
-
     # packing rows 0..nn-1: side A at entry (i, j) capped by a[i][j]
     # packing rows nn..2nn-1: side B at entry (k, i) capped by a[i][k+1 mod n]
     # unit outflow, then unit inflow (conservation at outflow one), of v_A
@@ -199,56 +218,34 @@ def _scl_lp(spec_x: ConeSpec, spec_y: ConeSpec, bound: int):
               [({i * n + j: 1 for i in range(n)}, 1) for j in range(n)]
     capacity = [({r: -1}, 0) for r in range(nn)] + \
                [({i * n + (k + 1) % n: -1}, 0) for k in range(n) for i in range(n)]
-    res, columns = _solve_packing(eq_rows, nn, capacity,
-                                  [(spec_x, 0), (spec_y, nn)], bound)
-    if res.status != "optimal":
-        raise InternalCheckError(
-            f"paired unit-outflow LP ended with status {res.status}; "
-            "the feasible set is provably nonempty")
-
+    sides = [(cone_spec(n, w.x.rows), 0), (cone_spec(n, w.y.rows), nn)]
+    lo = lower_bound(w) if stabilize else None
+    prev: Optional[Fraction] = None
+    status = "upper_bound"
+    for b, res, columns in _solve_packing(eq_rows, nn, capacity, sides,
+                                          range(1 if stabilize else bound, bound + 1)):
+        if res.status != "optimal":
+            raise InternalCheckError(
+                f"paired unit-outflow LP ended with status {res.status}; "
+                "the feasible set is provably nonempty")
+        value = (Fraction(n) - res.value) / 2
+        if stabilize and (value == lo or value == prev):
+            status = "stabilized"
+            break
+        prev = value
     v_a = Flow(n, tuple(tuple(res.witness[i * n + j] for j in range(n))
                         for i in range(n)))
-    v_b = pair_flow(v_a)
     decomposed = ([], []), ([], [])  # (weights, parts) of side A, then side B
     for t, (side, d) in zip(res.witness[nn:], columns):
         if t:
             decomposed[side][0].append(t)
             decomposed[side][1].append(d)
     cert = SclCertificate(
-        v_a=v_a, v_b=v_b,
+        v_a=v_a, v_b=pair_flow(v_a),
         side_a=SideDecomposition(*map(tuple, decomposed[0])),
         side_b=SideDecomposition(*map(tuple, decomposed[1])))
-    return res.value, cert
-
-
-def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResult:
-    """Upper-bounding scl value at the given truncation bound.
-
-    With stabilization on, bounds 1, 2, ... are tried in turn and the
-    computation stops at the first pair of consecutive equal values, or as
-    soon as the value meets the combinatorial lower bound (larger bounds
-    provably cannot move it then); the result is reported as `stabilized`.
-    If no bound pair agrees, the value at `bound` is reported with the
-    honest `upper_bound` status.  With stabilization off, only the LP at
-    `bound` is solved, and its value is reported as `upper_bound`.
-    """
-    if w.n > SCL_N_LIMIT:
-        raise LimitExceeded(f"scl computation limited to {SCL_N_LIMIT} blocks per side")
-    if bound < 1:
-        raise InputError("bound must be at least 1")
-    spec_x = cone_spec(w.n, w.x.rows)
-    spec_y = cone_spec(w.n, w.y.rows)
-    lo = lower_bound(w) if stabilize else None
-    prev: Optional[Fraction] = None
-    for b in range(1 if stabilize else bound, bound + 1):
-        ksum, cert = _scl_lp(spec_x, spec_y, b)
-        value = (Fraction(w.n) - ksum) / 2
-        if stabilize and (value == lo or value == prev):
-            return SclResult(value=value, status="stabilized", bound_used=b,
-                             certificate=cert, word_blocks=w.n)
-        prev = value
-    return SclResult(value=value, status="upper_bound", bound_used=bound,
-                     certificate=cert, word_blocks=w.n)
+    return SclResult(value=value, status=status, bound_used=b,
+                     certificate=cert, word_blocks=n)
 
 
 def scl_bracket(w: Word, bound: int = DEFAULT_BOUND) -> tuple[Fraction, Fraction]:

@@ -305,10 +305,11 @@ def flow_from_entries(n, entries) -> Flow:
 
 
 def _edge_table(n, edge_values) -> list[list]:
-    """((i, j), value) pairs summed into an n x n table; vertex ids outside
-    0..n-1 are refused."""
+    """((i, j), value) pairs summed into an n x n table; vertex ids that are
+    not integers in 0..n-1 are refused."""
     entries = [[0] * n for _ in range(n)]
     for (i, j), v in edge_values:
+        i, j = as_int(i), as_int(j)
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"edge ({i},{j}) out of range for {n} vertices")
         entries[i][j] += v

@@ -193,17 +193,18 @@ def test_unstabilized_scl_solves_only_at_its_bound(monkeypatch):
     from sclflow import engine
 
     bounds, solved = [], []
-    scl_lp, solve = engine._scl_lp, engine.solve_lp
+    packing, solve = engine._solve_packing, engine.solve_lp
 
-    def recording_scl_lp(spec_x, spec_y, bound):
-        bounds.append(bound)
-        return scl_lp(spec_x, spec_y, bound)
+    def recording_packing(*args):
+        for yielded in packing(*args):
+            bounds.append(yielded[0])
+            yield yielded
 
     def recording_solve(lp):
         solved.append(lp)
         return solve(lp)
 
-    monkeypatch.setattr(engine, "_scl_lp", recording_scl_lp)
+    monkeypatch.setattr(engine, "_solve_packing", recording_packing)
     monkeypatch.setattr(engine, "solve_lp", recording_solve)
     w = parse_word("a^-3 b^-1 a b a b^-1 a b")
     res = scl(w, bound=3, stabilize=False)
@@ -214,7 +215,50 @@ def test_unstabilized_scl_solves_only_at_its_bound(monkeypatch):
     solved.clear()
     with pytest.raises(LimitExceeded):
         scl(w, bound=7, stabilize=False)
-    assert bounds == [7] and not solved
+    assert not bounds and not solved
+
+
+def test_stabilized_scl_solves_no_column_set_twice(monkeypatch):
+    # the (1,2,1) sweep word goes on to bound 3; each bound continues the
+    # same run, so every LP solved has more columns than the one before
+    from sclflow import engine
+
+    dims = []
+    solve = engine.solve_lp
+
+    def recording_solve(lp):
+        dims.append(lp.dim())
+        return solve(lp)
+
+    monkeypatch.setattr(engine, "solve_lp", recording_solve)
+    res = scl(parse_word("a^-4 b^-1 a b a^2 b^-1 a b"), bound=3)
+    assert (res.value, res.status, res.bound_used) == (F(3, 4), "stabilized", 3)
+    assert len(dims) > 1 and all(a < b for a, b in zip(dims, dims[1:]))
+
+
+def test_a_shared_run_yields_the_value_of_every_bound(monkeypatch):
+    # one run over bounds 1, 2, 3 yields at each bound the value of the LP
+    # solved for that bound alone
+    from itertools import product
+
+    from sclflow import engine
+
+    packing = engine._solve_packing
+    for p, q, r in product((1, 2), repeat=3):
+        w = make_word(4, [[-(p + q + r), p, q, r]], [[-1, 1, -1, 1]])
+        alone = [scl(w, bound=b, stabilize=False).value for b in (1, 2, 3)]
+        shared = []
+
+        def every_bound(eq_rows, n_fixed, capacity_rows, sides, bounds):
+            for b, res, columns in packing(eq_rows, n_fixed, capacity_rows,
+                                           sides, (1, 2, 3)):
+                shared.append((w.n - res.value) / 2)
+            yield b, res, columns
+
+        monkeypatch.setattr(engine, "_solve_packing", every_bound)
+        assert scl(w, bound=3, stabilize=False).value == alone[2]
+        monkeypatch.undo()
+        assert shared == alone, (p, q, r)
 
 
 def test_certificate_with_a_forged_part_is_refused():
@@ -233,22 +277,17 @@ def test_certificate_with_a_forged_part_is_refused():
     assert not verify_certificate(claim, w)
 
 
-def test_certificates_hold_on_answers_served_by_the_memo():
-    # a seeded corpus run back to back with the column memo kept warm, so
-    # later words reuse columns computed for earlier ones; the span-equal
-    # pair of criterion 4 shares both cones outright
-    import sclflow
+def test_certificates_hold_on_a_seeded_corpus():
+    # words of 2-4 blocks plus the span-equal pair of criterion 4; a
+    # stabilized answer comes from a run shared by its bounds, whose
+    # certificate must hold at the bound reported
     from sclflow.acceptance import _linear_algebra_example_pair
 
     rng = random.Random(23)
     corpus = [(_random_word(rng, rng.randint(2, 4)), rng.randint(1, 2))
               for _ in range(20)]
     corpus.extend((w, 2) for w in _linear_algebra_example_pair())
-    sclflow.clear_caches()
-    try:
-        for w, bound in corpus:
-            for stabilize in (True, False):
-                res = scl(w, bound=bound, stabilize=stabilize)
-                assert verify_certificate(res, w), (render_word(w), bound, stabilize)
-    finally:
-        sclflow.clear_caches()
+    for w, bound in corpus:
+        for stabilize in (True, False):
+            res = scl(w, bound=bound, stabilize=stabilize)
+            assert verify_certificate(res, w), (render_word(w), bound, stabilize)

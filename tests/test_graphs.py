@@ -30,13 +30,15 @@ def test_outflow_two_cycle():
 
 
 def test_vertex_ids_out_of_range_are_refused():
-    for vertices in ([0, -1], [0, 3], [3]):
+    for vertices in ([0, -1], [0, 3], [3], [0.5, 1], [True, 0]):
         with pytest.raises(InputError):
             cycle_flow(3, vertices)
     with pytest.raises(InputError):
         flow_from_edges(2, {(0, 2): 1, (2, 0): 1})
     with pytest.raises(InputError):
         flow_from_edges(2, {(-1, -1): 1})
+    with pytest.raises(InputError):
+        flow_from_edges(3, {(0.0, 1): 1, (1, 0): 1})
     assert cycle_flow(3, [2, 0]) == flow_from_edges(3, {(2, 0): 1, (0, 2): 1})
 
 
