@@ -32,10 +32,9 @@ from .engine import conjecture_check, scl, verify_certificate
 from .graphs import abstract_graph, isomorphic, mdgraph
 from .hardness import (
     _cyclic_pairs,
+    decide_small_scl,
     essential_gadget_answer,
-    find_zero_sum_subset,
     instance,
-    j_pair_certificate,
     reduce_ss_to_smallscl,
     small_scl_instance,
     solve_subset,
@@ -242,26 +241,17 @@ def criterion_8() -> CriterionResult:
         count_true = count_false = 0
         lp_checked = 0
         for xs, ssp in _promise_instances():
-            n = len(xs)
-            threshold = F(n, 2) - 1
+            # decide_small_scl raises when its certificate or bound fails
+            if decide_small_scl(xs).answer != ssp:
+                return False, f"decision disagreed with the subset answer on {xs}"
             if ssp:
-                j = find_zero_sum_subset(xs)
-                if j is None:
-                    return False, f"no certificate set for {xs}"
-                cert = j_pair_certificate(xs, j)
-                if not cert.certified_upper < threshold:
-                    return False, f"certificate too weak on {xs}"
                 count_true += 1
             else:
-                w = small_scl_instance(xs)
-                if lower_bound(w) != threshold:
-                    return False, f"lower bound missed the threshold on {xs}"
                 count_false += 1
             # on the smallest cases, cross-check with the actual LP value
-            if n == 4 and lp_checked < 40:
-                w = small_scl_instance(xs)
-                value = scl(w, bound=2, stabilize=False).value
-                if (value < threshold) != ssp:
+            if len(xs) == 4 and lp_checked < 40:
+                value = scl(small_scl_instance(xs), bound=2, stabilize=False).value
+                if (value < F(len(xs), 2) - 1) != ssp:
                     return False, f"LP threshold disagreed on {xs}: value {value}"
                 lp_checked += 1
         return True, (f"{count_true} positive and {count_false} negative instances "

@@ -1,8 +1,9 @@
 """Command-line frontend.
 
-One executable with subcommands; all flags, no environment variables, so a
-command line fully determines its output.  With --output json the result is
-a single JSON document; identical inputs produce byte-identical output.
+One executable with subcommands; all flags, no environment variables, so
+the command line and the files it names determine the output.  With
+--output json the result is a single JSON document; identical inputs
+produce byte-identical output.
 
 Exit codes: 0 success, 2 input error, 3 size-limit refusal, 4 internal
 invariant failure.
@@ -13,28 +14,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .engine import DEFAULT_BOUND
+from .acceptance import ALL_CRITERIA, run_all, scorecard
+from .bounds import lower_bound, sample_generic_word, universal_word
+from .cones import cone_spec, enumerate_disc_vectors, extremal_rays, is_essential
+from .engine import DEFAULT_BOUND, conjecture_check, scl
 from .errors import InputError, InternalCheckError, LimitExceeded, SclflowError
+from .graphs import flow_from_json, flow_to_json, graph_from_json
+from .hardness import (
+    build_table,
+    collapse,
+    decide_small_scl,
+    essential_gadget_answer,
+    instance,
+    instance_to_json,
+    reduce_ss_to_smallscl,
+    small_scl_instance,
+    solve_subset,
+)
 from .linprog import rat_to_json
+from .synth import synthesize_extremal
+from .words import parse_word, render_word, word_to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
 
-
-@dataclass
-class RunConfig:
-    bound: int = DEFAULT_BOUND
-    stabilize: bool = True
-    seed: int = 0
-    output: str = "text"
-
-
-_CONFIG_TYPES = {"bound": int, "stabilize": bool, "seed": int, "output": str}
+# the settings a config file may hold; a value must have its default's type
+DEFAULTS = {"bound": DEFAULT_BOUND, "stabilize": True, "seed": 0, "output": "text"}
 
 
 def _load_json(path: str):
@@ -46,46 +54,28 @@ def _load_json(path: str):
             raise InputError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
+def _merge_settings(args) -> None:
+    """Set each setting on args: its flag if given, else the config file's
+    value, else the default."""
+    data = {}
     if getattr(args, "config", None):
         data = _load_json(args.config)
         if not isinstance(data, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(data) - set(_CONFIG_TYPES))
+        unknown = sorted(set(data) - set(DEFAULTS))
         if unknown:
             raise InputError(f"{args.config}: unknown config keys {unknown}; "
-                             f"known keys are {sorted(_CONFIG_TYPES)}")
-        for key, typ in _CONFIG_TYPES.items():
-            if key in data:
-                # exact type: JSON true/false must not pass for an int
-                if type(data[key]) is not typ:
-                    raise InputError(f"{args.config}: {key!r} must be of type "
-                                     f"{typ.__name__}, got {data[key]!r}")
-                setattr(cfg, key, data[key])
-        if cfg.output not in ("text", "json"):
+                             f"known keys are {sorted(DEFAULTS)}")
+        for key, default in DEFAULTS.items():
+            # exact type: JSON true/false must not pass for an int
+            if key in data and type(data[key]) is not type(default):
+                raise InputError(f"{args.config}: {key!r} must be of type "
+                                 f"{type(default).__name__}, got {data[key]!r}")
+        if data.get("output", "text") not in ("text", "json"):
             raise InputError(f"{args.config}: 'output' must be 'text' or 'json'")
-    # flags win over the config file
-    if getattr(args, "bound", None) is not None:
-        cfg.bound = args.bound
-    if getattr(args, "no_stabilize", False):
-        cfg.stabilize = False
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "output", None):
-        cfg.output = args.output
-    return cfg
-
-
-def _emit(payload: dict, text: str, cfg: RunConfig) -> None:
-    if cfg.output == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print(text)
-
-
-def _fr(x: Fraction) -> str:
-    return str(x)
+    for key, default in DEFAULTS.items():
+        if not hasattr(args, key):
+            setattr(args, key, data.get(key, default))
 
 
 def _parse_values(raw: str) -> list[int]:
@@ -95,224 +85,147 @@ def _parse_values(raw: str) -> list[int]:
         raise InputError(f"bad integer list {raw!r}") from exc
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
-# ---------------------------------------------------------------------------
-
-def cmd_compute(args) -> int:
-    from .engine import scl
-    from .words import parse_word
-
-    cfg = _config_from_args(args)
-    w = parse_word(args.word)
-    res = scl(w, bound=cfg.bound, stabilize=cfg.stabilize)
-    _emit(res.to_json(),
-          f"scl = {_fr(res.value)} ({res.status}, bound {res.bound_used})", cfg)
-    return EXIT_OK
-
-
-def cmd_bounds(args) -> int:
-    from .bounds import lower_bound
-    from .engine import scl
-    from .words import parse_word
-
-    cfg = _config_from_args(args)
-    w = parse_word(args.word)
-    lo = lower_bound(w)
-    res = scl(w, bound=cfg.bound, stabilize=cfg.stabilize)
-    payload = {"lower": rat_to_json(lo), "upper": rat_to_json(res.value),
-               "certified_exact": lo == res.value, "status": res.status}
-    _emit(payload,
-          f"bracket ({_fr(lo)}, {_fr(res.value)})"
-          + (" -- certified exact" if lo == res.value else ""), cfg)
-    return EXIT_OK
-
-
-def cmd_universal(args) -> int:
-    from .bounds import universal_word
-    from .engine import scl
-    from .words import render_word, word_to_json
-
-    cfg = _config_from_args(args)
-    w = universal_word(args.n)
-    payload = {"word": render_word(w), "json": word_to_json(w)}
-    text = f"word: {render_word(w)}"
-    if args.compute:
-        res = scl(w, bound=cfg.bound, stabilize=cfg.stabilize)
-        payload["scl"] = rat_to_json(res.value)
-        payload["status"] = res.status
-        text += f"\nscl = {_fr(res.value)} ({res.status})"
-    _emit(payload, text, cfg)
-    return EXIT_OK
-
-
-def cmd_generic(args) -> int:
-    from .bounds import lower_bound, sample_generic_word
-    from .engine import scl
-    from .words import render_word, word_to_json
-
-    cfg = _config_from_args(args)
-    w = sample_generic_word(args.n, cfg.seed)
-    lo = lower_bound(w)
-    payload = {"word": render_word(w), "json": word_to_json(w),
-               "lower": rat_to_json(lo)}
-    text = f"word: {render_word(w)}\nlower bound: {_fr(lo)}"
-    if args.compute:
-        res = scl(w, bound=cfg.bound, stabilize=cfg.stabilize)
-        payload["scl"] = rat_to_json(res.value)
-        payload["status"] = res.status
-        text += f"\nscl = {_fr(res.value)} ({res.status})"
-    _emit(payload, text, cfg)
-    return EXIT_OK
-
-
-def cmd_discs(args) -> int:
-    from .cones import enumerate_disc_vectors
-    from .graphs import flow_to_json
-
-    cfg = _config_from_args(args)
-    spec = _spec_from_args(args)
-    discs = enumerate_disc_vectors(spec, args.disc_bound)
-    payload = {"count": len(discs), "discs": [flow_to_json(d) for d in discs]}
-    _emit(payload, f"{len(discs)} disc vectors at bound {args.disc_bound}", cfg)
-    return EXIT_OK
-
-
 def _spec_from_args(args):
-    from .cones import cone_spec
-    from .words import parse_word
-
     w = parse_word(args.word)
-    side = getattr(args, "side", "a")
-    mat = w.x if side == "a" else w.y
+    mat = w.x if args.side == "a" else w.y
     return cone_spec(w.n, mat.rows)
 
 
-def cmd_essential(args) -> int:
-    from .cones import is_essential
-    from .graphs import flow_from_json
+# ---------------------------------------------------------------------------
+# subcommand handlers: each returns (JSON payload, text)
+# ---------------------------------------------------------------------------
 
-    cfg = _config_from_args(args)
+def cmd_compute(args):
+    res = scl(parse_word(args.word), bound=args.bound, stabilize=args.stabilize)
+    return (res.to_json(),
+            f"scl = {res.value} ({res.status}, bound {res.bound_used})")
+
+
+def cmd_bounds(args):
+    w = parse_word(args.word)
+    lo = lower_bound(w)
+    res = scl(w, bound=args.bound, stabilize=args.stabilize)
+    payload = {"lower": rat_to_json(lo), "upper": rat_to_json(res.value),
+               "certified_exact": lo == res.value, "status": res.status}
+    return (payload, f"bracket ({lo}, {res.value})"
+            + (" -- certified exact" if lo == res.value else ""))
+
+
+def _maybe_scl(args, w, payload: dict, text: str):
+    """A word's payload and text, with its scl added under --compute."""
+    if args.compute:
+        res = scl(w, bound=args.bound, stabilize=args.stabilize)
+        payload["scl"] = rat_to_json(res.value)
+        payload["status"] = res.status
+        text += f"\nscl = {res.value} ({res.status})"
+    return payload, text
+
+
+def cmd_universal(args):
+    w = universal_word(args.n)
+    return _maybe_scl(args, w, {"word": render_word(w), "json": word_to_json(w)},
+                      f"word: {render_word(w)}")
+
+
+def cmd_generic(args):
+    w = sample_generic_word(args.n, args.seed)
+    lo = lower_bound(w)
+    payload = {"word": render_word(w), "json": word_to_json(w),
+               "lower": rat_to_json(lo)}
+    return _maybe_scl(args, w, payload, f"word: {render_word(w)}\nlower bound: {lo}")
+
+
+def cmd_discs(args):
+    discs = enumerate_disc_vectors(_spec_from_args(args), args.disc_bound)
+    payload = {"count": len(discs), "discs": [flow_to_json(d) for d in discs]}
+    return payload, f"{len(discs)} disc vectors at bound {args.disc_bound}"
+
+
+def cmd_essential(args):
     spec = _spec_from_args(args)
-    d = flow_from_json(_load_json(args.disc))
-    ess = is_essential(spec, d)
-    _emit({"essential": ess}, f"essential: {ess}", cfg)
-    return EXIT_OK
+    ess = is_essential(spec, flow_from_json(_load_json(args.disc)))
+    return {"essential": ess}, f"essential: {ess}"
 
 
-def cmd_rays(args) -> int:
-    from .cones import extremal_rays
-    from .graphs import flow_to_json
-
-    cfg = _config_from_args(args)
-    spec = _spec_from_args(args)
-    rays = extremal_rays(spec)
+def cmd_rays(args):
+    rays = extremal_rays(_spec_from_args(args))
     payload = {"count": len(rays), "rays": [flow_to_json(r) for r in rays]}
-    _emit(payload, f"{len(rays)} extremal rays", cfg)
-    return EXIT_OK
+    return payload, f"{len(rays)} extremal rays"
 
 
-def cmd_gadget(args) -> int:
-    from .hardness import (
-        build_table,
-        collapse,
-        decide_small_scl,
-        essential_gadget_answer,
-        instance,
-        instance_to_json,
-        reduce_ss_to_smallscl,
-        small_scl_instance,
-        solve_subset,
-    )
-    from .words import render_word
-
-    cfg = _config_from_args(args)
-    sub = args.gadget_cmd
-    if sub == "subset":
-        inst = instance(args.variant, _parse_values(args.values))
-        ans = solve_subset(inst)
-        payload = {"instance": instance_to_json(inst), "answer": ans.answer,
-                   "witness": list(ans.witness) if ans.witness else None}
-        _emit(payload, f"answer: {ans.answer} witness: {ans.witness}", cfg)
-    elif sub == "table":
-        table = build_table(_parse_values(args.values), args.r)
-        payload = {"base": list(table.base), "r": table.r,
-                   "labels": table.labels(),
-                   "columns": [list(c) for c in table.columns]}
-        _emit(payload, "\n".join(f"{lbl}: {list(col)}" for lbl, col in
-                                 zip(table.labels(), table.columns)), cfg)
-    elif sub == "collapse":
-        data = _load_json(args.file)
-        vectors = data.get("vectors") if isinstance(data, dict) else None
-        if not (isinstance(vectors, list) and all(
-                isinstance(v, list) and all(type(c) is int for c in v)
-                for v in vectors)):
-            raise InputError(f"{args.file}: expected {{\"vectors\": "
-                             "[[int, ...], ...]}")
-        out = collapse(vectors, args.usage_bound)
-        _emit({"collapsed": out}, f"collapsed: {out}", cfg)
-    elif sub == "smallscl":
-        vals = _parse_values(args.values)
-        w = small_scl_instance(vals)
-        decision = decide_small_scl(vals)
-        payload = {"word": render_word(w), "below_threshold": decision.answer,
-                   "route": decision.route, "detail": decision.detail}
-        _emit(payload,
-              f"word: {render_word(w)}\nscl below threshold: "
-              f"{decision.answer} via {decision.route} ({decision.detail})", cfg)
-    elif sub == "reduce":
-        transcript = reduce_ss_to_smallscl(_parse_values(args.values))
-        payload = transcript.to_json()
-        text = (f"answer: {transcript.answer}\n" +
-                "\n".join(f"r={s.r}: {s.mixed_answer} via {s.route}"
-                          for s in transcript.steps))
-        _emit(payload, text, cfg)
-    elif sub == "essential":
-        vals = _parse_values(args.values)
-        ans = essential_gadget_answer(vals)
-        _emit({"no_zero_subset": ans}, f"no zero-sum subset: {ans}", cfg)
-    else:  # pragma: no cover
-        raise InputError(f"unknown gadget subcommand {sub!r}")
-    return EXIT_OK
+def cmd_gadget_subset(args):
+    inst = instance(args.variant, _parse_values(args.values))
+    ans = solve_subset(inst)
+    payload = {"instance": instance_to_json(inst), "answer": ans.answer,
+               "witness": list(ans.witness) if ans.witness else None}
+    return payload, f"answer: {ans.answer} witness: {ans.witness}"
 
 
-def cmd_synth(args) -> int:
-    from .graphs import graph_from_json
-    from .synth import synthesize_extremal
-
-    cfg = _config_from_args(args)
-    g = graph_from_json(_load_json(args.graph))
-    result = synthesize_extremal(g)
-    payload = result.to_json()
-    text = (f"flow on graph: {list(result.f_vals)} (distinguished edge "
-            f"{result.e_star})\nweights: {list(result.weights)}\n"
-            f"complete digraph size: {len(result.vertex_weight)}\n"
-            f"checks: {result.checks}")
-    _emit(payload, text, cfg)
-    return EXIT_OK
+def cmd_gadget_table(args):
+    table = build_table(_parse_values(args.values), args.r)
+    payload = {"base": list(table.base), "r": table.r, "labels": table.labels(),
+               "columns": [list(c) for c in table.columns]}
+    return payload, "\n".join(f"{lbl}: {list(col)}" for lbl, col in
+                              zip(table.labels(), table.columns))
 
 
-def cmd_conjecture(args) -> int:
-    from .engine import conjecture_check
+def cmd_gadget_collapse(args):
+    data = _load_json(args.file)
+    vectors = data.get("vectors") if isinstance(data, dict) else None
+    if not (isinstance(vectors, list) and all(
+            isinstance(v, list) and all(type(c) is int for c in v)
+            for v in vectors)):
+        raise InputError(f"{args.file}: expected {{\"vectors\": "
+                         "[[int, ...], ...]}")
+    out = collapse(vectors, args.usage_bound)
+    return {"collapsed": out}, f"collapsed: {out}"
 
-    cfg = _config_from_args(args)
+
+def cmd_gadget_smallscl(args):
+    vals = _parse_values(args.values)
+    w = small_scl_instance(vals)
+    decision = decide_small_scl(vals)
+    payload = {"word": render_word(w), "below_threshold": decision.answer,
+               "route": decision.route, "detail": decision.detail}
+    return payload, (f"word: {render_word(w)}\nscl below threshold: "
+                     f"{decision.answer} via {decision.route} ({decision.detail})")
+
+
+def cmd_gadget_reduce(args):
+    transcript = reduce_ss_to_smallscl(_parse_values(args.values))
+    return transcript.to_json(), (
+        f"answer: {transcript.answer}\n" +
+        "\n".join(f"r={s.r}: {s.mixed_answer} via {s.route}"
+                  for s in transcript.steps))
+
+
+def cmd_gadget_essential(args):
+    ans = essential_gadget_answer(_parse_values(args.values))
+    return {"no_zero_subset": ans}, f"no zero-sum subset: {ans}"
+
+
+def cmd_synth(args):
+    result = synthesize_extremal(graph_from_json(_load_json(args.graph)))
+    return result.to_json(), (
+        f"flow on graph: {list(result.f_vals)} (distinguished edge "
+        f"{result.e_star})\nweights: {list(result.weights)}\n"
+        f"complete digraph size: {len(result.vertex_weight)}\n"
+        f"checks: {result.checks}")
+
+
+def cmd_conjecture(args):
     n = args.p + args.q + args.r
-    report = conjecture_check(n, args.p, args.q, args.r, bound=cfg.bound)
+    report = conjecture_check(n, args.p, args.q, args.r, bound=args.bound)
     payload = {"predicted": rat_to_json(report.predicted),
                "computed": rat_to_json(report.computed.value),
                "status": report.computed.status,
                "agrees": report.agrees()}
-    _emit(payload,
-          f"predicted {_fr(report.predicted)}, computed "
-          f"{_fr(report.computed.value)} [{report.computed.status}] -> "
-          + ("agrees" if report.agrees() else "differs"), cfg)
-    return EXIT_OK
+    return payload, (f"predicted {report.predicted}, computed "
+                     f"{report.computed.value} [{report.computed.status}] -> "
+                     + ("agrees" if report.agrees() else "differs"))
 
 
-def cmd_verify(args) -> int:
-    from .acceptance import ALL_CRITERIA, run_all, scorecard
-
-    cfg = _config_from_args(args)
+def cmd_verify(args):
     only = None
     if args.only:
         try:
@@ -328,20 +241,18 @@ def cmd_verify(args) -> int:
         # wall times vary run to run, so they stay out of the default output
         for entry, r in zip(card["criteria"], results):
             entry["seconds"] = round(r.seconds, 3)
-    if cfg.output == "json":
-        print(json.dumps(card, sort_keys=True, separators=(",", ":")))
-    else:
-        for r in results:
-            print(r.line() + (f" [{r.seconds:.2f} s]" if args.timings else ""))
-        print("all passed" if card["all_passed"] else "FAILURES PRESENT")
-    return EXIT_OK if card["all_passed"] else EXIT_INTERNAL
+    lines = [r.line() + (f" [{r.seconds:.2f} s]" if args.timings else "")
+             for r in results]
+    lines.append("all passed" if card["all_passed"] else "FAILURES PRESENT")
+    return card, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 
 def _common_flags() -> argparse.ArgumentParser:
     # shared flags accepted before or after the subcommand; SUPPRESS keeps
-    # a subcommand's unset flags from clobbering values parsed earlier
+    # a subcommand's unset flags from clobbering values parsed earlier and
+    # leaves an unset setting to _merge_settings
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"),
                         default=argparse.SUPPRESS)
@@ -349,7 +260,7 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="JSON config file; flags win")
     common.add_argument("--bound", type=int, default=argparse.SUPPRESS,
                         help=f"disc-vector outflow bound (default {DEFAULT_BOUND})")
-    common.add_argument("--no-stabilize", action="store_true",
+    common.add_argument("--no-stabilize", action="store_false", dest="stabilize",
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     return common
@@ -405,19 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--variant", choices=("SS", "SSP", "VARSSP", "MIXEDSSP", "COSS"),
                    default="SS")
     g.add_argument("--values", required=True)
+    g.set_defaults(fn=cmd_gadget_subset)
     g = gsub.add_parser("table", parents=[common])
     g.add_argument("--values", required=True)
     g.add_argument("--r", type=int, required=True)
+    g.set_defaults(fn=cmd_gadget_table)
     g = gsub.add_parser("collapse", parents=[common])
     g.add_argument("--file", required=True, help="instance JSON file")
     g.add_argument("--usage-bound", type=int, required=True)
+    g.set_defaults(fn=cmd_gadget_collapse)
     g = gsub.add_parser("smallscl", parents=[common])
     g.add_argument("--values", required=True)
+    g.set_defaults(fn=cmd_gadget_smallscl)
     g = gsub.add_parser("reduce", parents=[common])
     g.add_argument("--values", required=True)
+    g.set_defaults(fn=cmd_gadget_reduce)
     g = gsub.add_parser("essential", parents=[common])
     g.add_argument("--values", required=True)
-    p.set_defaults(fn=cmd_gadget)
+    g.set_defaults(fn=cmd_gadget_essential)
 
     p = sub.add_parser("synth", help="extremal point with a given abstract graph", parents=[common])
     p.add_argument("--graph", required=True, help="graph JSON file")
@@ -450,8 +366,15 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_INPUT
     try:
-        return args.fn(args)
-    except (InputError,) as exc:
+        _merge_settings(args)
+        payload, text = args.fn(args)
+        if args.output == "json":
+            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        else:
+            print(text)
+        # verify's scorecard is the one payload that can report a failure
+        return EXIT_OK if payload.get("all_passed", True) else EXIT_INTERNAL
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LimitExceeded as exc:

@@ -585,6 +585,15 @@ class EssentialGadget:
     disc: Flow
 
 
+def _gadget_values(values: Sequence[int]) -> list[int]:
+    # the essentiality search visits every subset of petals
+    vals = [as_int(v) for v in values]
+    if len(vals) > SS_BRUTE_LIMIT:
+        raise LimitExceeded(
+            f"essentiality gadget limited to n <= {SS_BRUTE_LIMIT} values")
+    return vals
+
+
 def essential_gadget(values: Sequence[int]) -> EssentialGadget:
     """Vertex weight (m, 1, a_1, -1, ..., a_{m+1}, -1) and the petal flow
     whose essentiality mirrors the no-zero-subset answer on the values.
@@ -592,7 +601,7 @@ def essential_gadget(values: Sequence[int]) -> EssentialGadget:
     Petal i routes one unit hub -> a_i-vertex -> sink_i -> hub; a proper
     nonzero subflow picks exactly the petals of a zero-sum subset.
     """
-    vals = [as_int(v) for v in values]
+    vals = _gadget_values(values)
     m = len(vals)
     if m < 1:
         raise InputError("need at least one value")
@@ -623,7 +632,7 @@ def essential_gadget(values: Sequence[int]) -> EssentialGadget:
 def essential_gadget_answer(values: Sequence[int]) -> bool:
     """COSS through the gadget: essentiality of the petal flow when the
     gadget exists, the direct zero-entry answer otherwise."""
-    vals = [as_int(v) for v in values]
+    vals = _gadget_values(values)
     balanced = vals + [-sum(vals)]
     if any(v == 0 for v in balanced):
         # a zero among the values is a singleton zero-sum subset; a zero

@@ -309,3 +309,53 @@ def test_lone_double_dash_value_is_input_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
+
+
+def test_gadget_essential_refuses_more_than_sixteen_values(capsys):
+    # 17 powers of two: the parent's exhaustive petal search took seconds
+    values = ",".join(str(2 ** k) for k in range(17))
+    code, out, err = run_cli(capsys, "gadget", "essential", "--values", values)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused:")
+
+
+W_UNSTABLE = "a^-3 b^-1 a b a b^-1 a b"
+
+
+def test_config_stabilize_false_stops_at_the_bound(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"stabilize": False}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "--output", "json",
+                           "compute", W_UNSTABLE)
+    assert code == 0
+    assert json.loads(out)["status"] == "upper_bound"
+    _, flag_out, _ = run_cli(capsys, "--output", "json", "--no-stabilize",
+                             "compute", W_UNSTABLE)
+    assert out == flag_out
+
+
+def test_config_seed_matches_the_seed_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    _, from_config, _ = run_cli(capsys, "--config", str(cfg), "generic", "4")
+    _, from_flag, _ = run_cli(capsys, "--seed", "3", "generic", "4")
+    _, unseeded, _ = run_cli(capsys, "generic", "4")
+    assert from_config == from_flag != unseeded
+
+
+@pytest.mark.parametrize("config, argv, flag", [
+    ({"bound": 1}, ("compute", W_UNSTABLE), ("--bound", "3")),
+    ({"stabilize": True}, ("compute", W_UNSTABLE), ("--no-stabilize",)),
+    ({"seed": 1}, ("generic", "4"), ("--seed", "3")),
+    ({"output": "json"}, ("compute", W_UNSTABLE), ("--output", "text")),
+])
+def test_flag_after_the_subcommand_overrides_the_config(tmp_path, capsys,
+                                                        config, argv, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, merged, _ = run_cli(capsys, "--config", str(cfg), *argv, *flag)
+    assert code == 0
+    _, flag_only, _ = run_cli(capsys, *argv, *flag)
+    _, config_only, _ = run_cli(capsys, "--config", str(cfg), *argv)
+    assert merged == flag_only != config_only

@@ -5,8 +5,9 @@ from itertools import combinations, product
 import pytest
 
 from sclflow.cones import is_essential
-from sclflow.errors import InputError, PromiseViolation
+from sclflow.errors import InputError, LimitExceeded, PromiseViolation
 from sclflow.hardness import (
+    SS_BRUTE_LIMIT,
     append_balance,
     build_table,
     collapse,
@@ -283,6 +284,19 @@ def test_essential_gadget_answers():
     assert essential_gadget_answer([1, -1, 3]) is False
     assert essential_gadget_answer([0]) is False
     assert essential_gadget_answer([1, -1]) is False  # balance entry is zero
+
+
+@pytest.mark.parametrize("values", [
+    [2 ** k for k in range(SS_BRUTE_LIMIT + 1)],
+    [0] + [2 ** k for k in range(SS_BRUTE_LIMIT)],
+], ids=["powers-of-two", "with-zero"])
+def test_essential_gadget_refuses_more_than_the_brute_limit(values):
+    # the essentiality search visits every subset of petals
+    with pytest.raises(LimitExceeded):
+        essential_gadget_answer(values)
+    with pytest.raises(LimitExceeded):
+        essential_gadget(values)
+    assert len(essential_gadget(values[1:]).balanced) == SS_BRUTE_LIMIT + 1
 
 
 def test_instance_json_round_trip():
