@@ -30,7 +30,7 @@ from math import gcd
 from operator import le, mul
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError, InternalCheckError, LimitExceeded
+from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 from .graphs import Flow, outflow_vector, reachable
 from .words import ExponentMatrix, matrix, validate_Mn
 
@@ -257,8 +257,10 @@ def iter_bounded_flows(edges: Sequence[tuple[int, int]],
     """All integral flows supported on `edges` with value <= cap per edge.
 
     Yields value tuples aligned with `edges`.  Conservation pruning works
-    vertex by vertex through partial net flow and remaining capacity;
-    edges are processed in DFS order so chains collapse early.
+    vertex by vertex through partial net flow and remaining capacity: an
+    edge's value runs only over the interval that keeps both its endpoints
+    balanceable by the edges still to come.  Edges are processed in DFS
+    order so chains collapse early.
     """
     original_edges, original_caps = list(edges), list(caps)
     order = _traversal_order(original_edges)
@@ -280,8 +282,8 @@ def iter_bounded_flows(edges: Sequence[tuple[int, int]],
 
     def rec(idx):
         if idx == m:
-            if all(x == 0 for x in net.values()):
-                yield tuple(vals[inverse[i]] for i in range(m))
+            # every vertex was balanced by the last interval through it
+            yield tuple(vals[inverse[i]] for i in range(m))
             return
         t, h = edges[idx]
         c = caps[idx]
@@ -293,13 +295,14 @@ def iter_bounded_flows(edges: Sequence[tuple[int, int]],
             return
         rem_out[t] -= c
         rem_in[h] -= c
-        for v in range(c + 1):
+        # net[t] + v and net[h] - v must stay within -rem_out..rem_in
+        lo = max(0, -rem_out[t] - net[t], net[h] - rem_in[h])
+        hi = min(c, rem_in[t] - net[t], net[h] + rem_out[h])
+        for v in range(lo, hi + 1):
             vals[idx] = v
             net[t] += v
             net[h] -= v
-            if (-rem_out[t] <= net[t] <= rem_in[t]
-                    and -rem_out[h] <= net[h] <= rem_in[h]):
-                yield from rec(idx + 1)
+            yield from rec(idx + 1)
             net[t] -= v
             net[h] += v
         vals[idx] = 0
@@ -322,16 +325,27 @@ def iter_cone_members(spec: ConeSpec, edges: Sequence[tuple[int, int]],
                 yield vals
 
 
+def _disc_support(spec: ConeSpec, d: Flow, what: str
+                  ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """The support edges of the disc vector d and its int values on them.
+    The searches below walk boxes as long as these values, so a disc with
+    an entry above DISC_BOUND_LIMIT is refused before any search."""
+    if not is_disc_vector(spec, d):
+        raise InputError(f"{what} is defined for disc vectors only")
+    edges = d.support_edges()
+    vals = tuple(int(d.entries[t][h]) for t, h in edges)
+    if max(vals) > DISC_BOUND_LIMIT:
+        raise LimitExceeded(f"{what} limited to disc entries <= {DISC_BOUND_LIMIT}")
+    return edges, vals
+
+
 def is_essential(spec: ConeSpec, d: Flow) -> bool:
     """No way to write d = e + v with e a disc vector and v a nonzero cone
     member.  Any such e satisfies e <= d entrywise, so the search space is
     the finite set of proper nonzero subflows of d."""
-    if not is_disc_vector(spec, d):
-        raise InputError("essentiality is defined for disc vectors only")
-    edges = d.support_edges()
-    caps = [int(d.entries[t][h]) for t, h in edges]
+    edges, caps = _disc_support(spec, d, "essentiality")
     for vals in iter_cone_members(spec, edges, caps):
-        if list(vals) != caps and _support_strongly_connected(
+        if vals != caps and _support_strongly_connected(
                 [e for e, v in zip(edges, vals) if v]):
             return False
     return True
@@ -340,7 +354,7 @@ def is_essential(spec: ConeSpec, d: Flow) -> bool:
 @dataclass(frozen=True)
 class ExtremalityReport:
     extremal_up_to: int
-    counterexample: Optional[tuple[tuple[tuple[int, ...], ...], ...]] = None
+    counterexample: Optional[tuple[tuple[int, ...], ...]] = None
     # counterexample: tuple of summand value-tuples aligned with `edges`
     edges: Optional[tuple[tuple[int, int], ...]] = None
 
@@ -352,44 +366,46 @@ class ExtremalityReport:
 def is_extremal(spec: ConeSpec, d: Flow, n_max: int = 2) -> ExtremalityReport:
     """Bounded extremality verifier against the ambient integral cone.
 
-    For each N <= n_max it searches decompositions N*d = d_1 + ... + d_N
-    with every d_i a nonzero integral cone member entrywise below N*d; the
-    first decomposition with some part != d is a counterexample.  This is
-    a verifier up to n_max, not a decision procedure.
+    For each N = 2..n_max it searches decompositions N*d = d_1 + ... + d_N
+    with every d_i a nonzero integral cone member entrywise below N*d; a
+    decomposition with some part != d is a counterexample.  This is a
+    verifier up to n_max (an int >= 2), not a decision procedure.
+
+    The search reads `iter_cone_members` lazily, one box per level, and
+    returns the first counterexample it meets, not the lexicographically
+    least one.  The last part is what remains: it is >= 0 and integral,
+    and conservation and the weight rows are linear, so it is a cone
+    member exactly when it is nonzero.  At N = 2 that makes the search one
+    pass over the box below 2*d, ending at the first member other than d
+    and 2*d.  On the earlier levels the parts are kept lexicographically
+    nondecreasing to cut permuted duplicates.
     """
-    if not is_disc_vector(spec, d):
-        raise InputError("extremality check expects a disc vector")
-    base_edges = d.support_edges()
-    for N in range(2, n_max + 1):
-        target = [int(d.entries[t][h]) * N for t, h in base_edges]
-        members = sorted(iter_cone_members(spec, base_edges, target))
-        member_set = set(members)
-        d_vals = tuple(int(d.entries[t][h]) for t, h in base_edges)
+    n_max = as_int(n_max)
+    if n_max < 2:
+        raise InputError(f"extremality is checked from N = 2 up, got n_max {n_max}")
+    edges, d_vals = _disc_support(spec, d, "extremality")
 
-        def search(start, left, remaining, parts):
-            # parts are kept nondecreasing to cut permuted duplicates
-            if left == 1:
-                rem = tuple(remaining)
-                if rem in member_set and (not parts or rem >= parts[-1]):
-                    full = parts + [rem]
-                    if any(p != d_vals for p in full):
-                        return full
-                return None
-            for k in range(start, len(members)):
-                e = members[k]
-                if all(v <= r for v, r in zip(e, remaining)):
-                    nxt = [r - v for r, v in zip(remaining, e)]
-                    got = search(k, left - 1, nxt, parts + [e])
-                    if got:
-                        return got
+    def search(left, remaining, parts):
+        if left == 1:
+            full = parts + [remaining]
+            if any(remaining) and any(p != d_vals for p in full):
+                return full
             return None
+        for e in iter_cone_members(spec, edges, remaining):
+            if not parts or e >= parts[-1]:
+                got = search(left - 1, tuple(r - v for r, v in zip(remaining, e)),
+                             parts + [e])
+                if got:
+                    return got
+        return None
 
-        found = search(0, N, target, [])
+    for N in range(2, n_max + 1):
+        found = search(N, tuple(v * N for v in d_vals), [])
         if found:
             return ExtremalityReport(extremal_up_to=N - 1,
                                      counterexample=tuple(found),
-                                     edges=tuple(base_edges))
-    return ExtremalityReport(extremal_up_to=n_max, edges=tuple(base_edges))
+                                     edges=tuple(edges))
+    return ExtremalityReport(extremal_up_to=n_max, edges=tuple(edges))
 
 
 # ---------------------------------------------------------------------------

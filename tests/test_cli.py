@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from reference_rays import support_nullity
@@ -142,6 +143,23 @@ def test_essential_command(tmp_path, capsys):
                            "a b a^-1 b^-1", "--side", "a", "--disc", str(disc))
     assert code == 0
     assert json.loads(out)["essential"] is True
+
+
+@pytest.mark.parametrize("word, entries", [
+    ("a b a^-1 b^-1", [[0, 10 ** 9], [10 ** 9, 0]]),
+    ("a b a^-3000000 b a^2999999 b^-2", [[2999999, 1, 0], [1, 0, 0], [0, 0, 0]]),
+])
+def test_essential_refuses_disc_entries_above_the_bound(tmp_path, capsys, word, entries):
+    # searched instead of refused, the first ran past 10 s and the second
+    # (a loop of 2999999 beside a two-cycle) took 54 s
+    disc = tmp_path / "disc.json"
+    disc.write_text(json.dumps({"n": len(entries), "entries": entries}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "essential", word, "--disc", str(disc))
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused:")
 
 
 def test_missing_file_is_input_error(capsys):

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from sclflow import cones
 from sclflow.cones import (
+    DISC_BOUND_LIMIT,
     ConeSpec,
     _support_strongly_connected,
     cone_spec,
@@ -228,6 +231,45 @@ def test_is_extremal_doubled_vector():
     assert rep.counterexample is not None
 
 
+@pytest.mark.parametrize("n_max", [0, 1, True, 2.5])
+def test_is_extremal_refuses_n_max_that_is_not_an_int_from_two(n_max):
+    # n_max 0 once reported the doubled two-cycle extremal up to 0, True
+    # came back as extremal_up_to, and 2.5 raised a bare TypeError
+    with pytest.raises(InputError):
+        is_extremal(SPEC2, Flow(2, ((0, 2), (2, 0))), n_max=n_max)
+
+
+@pytest.mark.parametrize("check", [is_essential, is_extremal])
+def test_checks_refuse_disc_entries_above_the_bound(check):
+    check(SPEC2, cycle_flow(2, [0, 1]).scale(DISC_BOUND_LIMIT))
+    with pytest.raises(LimitExceeded):
+        check(SPEC2, cycle_flow(2, [0, 1]).scale(DISC_BOUND_LIMIT + 1))
+    with pytest.raises(LimitExceeded):
+        check(SPEC2, cycle_flow(2, [0, 1]).scale(10 ** 9))
+
+
+def test_is_extremal_stops_at_the_first_counterexample(monkeypatch):
+    # the N = 2 search reads the box below 2d lazily and ends at the first
+    # cone member other than d and 2d, well before the box is exhausted
+    spec = cone_spec(4, [[1, 1, -1, -1]])
+    d = Flow(4, ((1, 1, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1, 1)))
+    edges = d.support_edges()
+    box = sum(1 for _ in iter_bounded_flows(
+        edges, [2 * int(d.entries[t][h]) for t, h in edges]))
+    consumed = 0
+    real = cones.iter_bounded_flows
+
+    def counting(edges, caps):
+        nonlocal consumed
+        for vals in real(edges, caps):
+            consumed += 1
+            yield vals
+
+    monkeypatch.setattr(cones, "iter_bounded_flows", counting)
+    assert not is_extremal(spec, d, n_max=2).is_extremal
+    assert 0 < consumed < box
+
+
 def test_extremal_implies_essential_small():
     for rows in ([[1, -1]], [[2, -1, -1]], [[1, 1, -2]]):
         spec = cone_spec(len(rows[0]), rows)
@@ -305,6 +347,27 @@ def test_iter_bounded_flows_conservation():
                         if any(vals) and in_cone(spec, flow_from_edges(
                             3, dict(zip(support, vals))))]
             assert members == expected
+
+
+def test_iter_bounded_flows_matches_brute_force():
+    # random boxes with loops and zero caps, against every value tuple of
+    # the box that conserves flow at each vertex, in edge order
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        complete = [(i, j) for i in range(n) for j in range(n)]
+        edges = rng.sample(complete, rng.randint(1, min(6, len(complete))))
+        caps = [rng.randint(0, 3) for _ in edges]
+        expected = []
+        for vals in product(*(range(c + 1) for c in caps)):
+            net = [0] * n
+            for (t, h), v in zip(edges, vals):
+                net[t] += v
+                net[h] -= v
+            if not any(net):
+                expected.append(vals)
+        flows = list(iter_bounded_flows(edges, caps))
+        assert sorted(flows) == expected, (edges, caps)
 
 
 def test_ray_component_shapes_fall_into_three_classes():
