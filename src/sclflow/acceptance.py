@@ -29,9 +29,9 @@ from .cones import (
     is_extremal,
 )
 from .engine import conjecture_check, scl, verify_certificate
-from .graphs import abstract_graph, isomorphic, mdgraph
+from .graphs import MDGraph, abstract_graph, connectivity, isomorphic, mdgraph
 from .hardness import (
-    _cyclic_pairs,
+    cyclic_pairs,
     decide_small_scl,
     essential_gadget_answer,
     instance,
@@ -227,7 +227,7 @@ def _promise_instances(n_max: int = 6, mag: int = 4):
             if last == 0 or abs(last) > mag:
                 continue
             xs = head + (last,)
-            if any(xs[k] + xs[k1] == 0 for k, k1 in _cyclic_pairs(n)):
+            if any(xs[k] + xs[k1] == 0 for k, k1 in cyclic_pairs(n)):
                 continue
             ssp = solve_subset(instance("SSP", list(xs))).answer
             var = solve_subset(instance("VARSSP", list(xs))).answer
@@ -335,8 +335,6 @@ def _geometry_corpus():
 
 def _connected_pieces(ray):
     """Abstract graphs of the weakly connected components of a ray support."""
-    from .graphs import MDGraph, connectivity
-
     g = ray.support_graph()
     conn = connectivity(g)
     pieces = []
@@ -345,9 +343,7 @@ def _connected_pieces(ray):
         remap = {v: i for i, v in enumerate(sorted(comp_set))}
         edges = [(remap[t], remap[h]) for t, h in g.edges
                  if t in comp_set and h in comp_set]
-        sub = MDGraph(len(comp_set), tuple(edges))
-        a = abstract_graph(sub)
-        pieces.append(mdgraph(a.vertex_count, a.edges))
+        pieces.append(abstract_graph(MDGraph(len(comp_set), tuple(edges))))
     return pieces
 
 

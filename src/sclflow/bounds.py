@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import InputError
+from .errors import InputError, as_int
 from .linprog import rref
 from .words import ExponentMatrix, Word, make_word, matrix, validate_Mn
 
@@ -135,6 +135,7 @@ def lower_bound(w: Word) -> Fraction:
 def universal_word(n: int) -> Word:
     """The word maximizing scl among reduced length 2n: both sides have the
     rows (1,-1,0,...,0), (1,0,-1,...,0), ..., (1,0,...,0,-1)."""
+    n = as_int(n)
     if n < 2:
         raise InputError("universal word needs n >= 2")
     rows = []
@@ -149,6 +150,7 @@ def universal_word(n: int) -> Word:
 def upper_bound_C(m: int) -> Fraction:
     """Closed-form bound for the largest scl at reduced length m = 2n > 4:
     n/2 - 1 for odd n, and n/2 - ((n-1)! - 1)/(n (n-2)! - 2) for even n."""
+    m = as_int(m)
     if m % 2 != 0 or m <= 4:
         raise InputError("reduced length must be even and greater than 4")
     n = m // 2
@@ -168,6 +170,7 @@ def generic_check(x: ExponentMatrix) -> bool:
 def sample_generic_word(n: int, seed: int) -> Word:
     """Deterministic-for-seed rejection sampler for words with generic
     exponent matrices on both sides (n - 1 rows each, full row rank)."""
+    n = as_int(n)
     if n < 3:
         raise InputError("generic sampling needs n >= 3")
     rng = random.Random(seed)

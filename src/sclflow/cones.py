@@ -166,6 +166,7 @@ def priced_discs(spec: ConeSpec, bound: int, costs=None,
     """
     if spec.n > DISC_N_LIMIT:
         raise LimitExceeded(f"disc enumeration limited to n <= {DISC_N_LIMIT}")
+    bound = as_int(bound)
     if bound < 0:
         raise InputError(f"outflow bound must be nonnegative, got {bound}")
     if bound > DISC_BOUND_LIMIT:

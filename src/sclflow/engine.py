@@ -31,7 +31,7 @@ from typing import Optional
 
 from .bounds import lower_bound
 from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, priced_discs
-from .errors import InputError, InternalCheckError, LimitExceeded
+from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 from .graphs import Flow, flow_to_json
 from .linprog import LinearProgram, int_scaled, rat_to_json, solve_lp
 from .words import Word, make_word
@@ -207,6 +207,7 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
     """
     if w.n > SCL_N_LIMIT:
         raise LimitExceeded(f"scl computation limited to {SCL_N_LIMIT} blocks per side")
+    bound = as_int(bound)
     if bound < 1:
         raise InputError("bound must be at least 1")
     n = w.n

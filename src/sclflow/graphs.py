@@ -10,16 +10,20 @@ non-integer where an integer belongs rather than truncate it.
 One search, `reachable`, answers every connectivity question: component
 partitions here and strong connectivity of flow supports in `cones`.
 
-Abstraction repeatedly smooths subdivision vertices: a vertex with exactly
-one incoming and one outgoing edge, the two distinct, merges into a single
-edge whose weight is the sum of the merged weights.  A bare loop never
-counts as a subdivision configuration, so collapsing a directed cycle
-terminates at one loop.
+Abstraction works on one list of (edge, weight, flow) records, None for an
+absent attribute.  It repeatedly smooths subdivision vertices: a vertex
+with exactly one incoming and one outgoing edge, the two distinct, trades
+their two records for one whose weight is the sum of theirs, and the
+vertices above it shift down by one.  A bare loop never counts as a
+subdivision configuration, so collapsing a directed cycle terminates at one
+loop.  One sort of the records fixes the edge order.  `push_cycle` pushes
+one unit around an edge and a shortest return path; positive flows and the
+synthesized flows of `synth` are built from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
@@ -126,39 +130,20 @@ def connectivity(g: MDGraph) -> Connectivity:
     )
 
 
-def _subdivision_vertex(g: MDGraph) -> Optional[tuple[int, int, int]]:
-    """Smallest vertex v with exactly one in-edge and one out-edge, distinct.
+def _subdivision_vertex(n: int, edges) -> Optional[tuple[int, int, int]]:
+    """Smallest v < n with one in-edge and one out-edge, the two distinct.
 
     Returns (v, in_edge_index, out_edge_index) or None.
     """
-    ins = [[] for _ in range(g.vertex_count)]
-    outs = [[] for _ in range(g.vertex_count)]
-    for idx, (t, h) in enumerate(g.edges):
+    ins = [[] for _ in range(n)]
+    outs = [[] for _ in range(n)]
+    for idx, (t, h) in enumerate(edges):
         outs[t].append(idx)
         ins[h].append(idx)
-    for v in range(g.vertex_count):
+    for v in range(n):
         if len(ins[v]) == 1 and len(outs[v]) == 1 and ins[v][0] != outs[v][0]:
             return v, ins[v][0], outs[v][0]
     return None
-
-
-def _compact(g: MDGraph, drop: set[int]) -> MDGraph:
-    keep = [v for v in range(g.vertex_count) if v not in drop]
-    remap = {v: i for i, v in enumerate(keep)}
-    edges = tuple((remap[t], remap[h]) for t, h in g.edges)
-    return MDGraph(len(keep), edges, g.weights, g.flows)
-
-
-def _sorted_edges(g: MDGraph) -> MDGraph:
-    order = sorted(range(len(g.edges)),
-                   key=lambda i: (g.edges[i],
-                                  g.weights[i] if g.weights is not None else 0,
-                                  g.flows[i] if g.flows is not None else 0))
-    return MDGraph(
-        g.vertex_count,
-        tuple(g.edges[i] for i in order),
-        None if g.weights is None else tuple(g.weights[i] for i in order),
-        None if g.flows is None else tuple(g.flows[i] for i in order))
 
 
 def abstract_graph(g: MDGraph) -> MDGraph:
@@ -167,42 +152,39 @@ def abstract_graph(g: MDGraph) -> MDGraph:
     When flow values are present, merged edges must carry equal flow; a
     mismatch means the input was not the support of a flow and is an error.
     """
+    m = len(g.edges)
+    weights = g.weights if g.weights is not None else [None] * m
+    flows = g.flows if g.flows is not None else [None] * m
+    records = list(zip(g.edges, weights, flows))
+    n = g.vertex_count
     while True:
-        found = _subdivision_vertex(g)
+        found = _subdivision_vertex(n, [e for e, _w, _f in records])
         if found is None:
             break
         v, ei, eo = found
-        tail = g.edges[ei][0]
-        head = g.edges[eo][1]
-        if g.flows is not None and g.flows[ei] != g.flows[eo]:
+        (tail, _v), w_in, f_in = records[ei]
+        (_v, head), w_out, f_out = records[eo]
+        if f_in != f_out:
             raise InputError(
                 f"cannot merge edges with unequal flow values "
-                f"{g.flows[ei]} != {g.flows[eo]} at vertex {v}")
-        edges = []
-        weights = [] if g.weights is not None else None
-        flows = [] if g.flows is not None else None
-        for idx, e in enumerate(g.edges):
-            if idx in (ei, eo):
-                continue
-            edges.append(e)
-            if weights is not None:
-                weights.append(g.weights[idx])
-            if flows is not None:
-                flows.append(g.flows[idx])
-        edges.append((tail, head))
-        if weights is not None:
-            weights.append(g.weights[ei] + g.weights[eo])
-        if flows is not None:
-            flows.append(g.flows[ei])
-        g = _compact(MDGraph(g.vertex_count, tuple(edges),
-                             None if weights is None else tuple(weights),
-                             None if flows is None else tuple(flows)),
-                     {v})
-    return _sorted_edges(g)
+                f"{f_in} != {f_out} at vertex {v}")
+        w = None if w_in is None else w_in + w_out
+        records = [r for idx, r in enumerate(records) if idx not in (ei, eo)]
+        records.append(((tail, head), w, f_in))
+        # no edge meets v any more; the vertices above it shift down by one
+        records = [((t - (t > v), h - (h > v)), w, f)
+                   for (t, h), w, f in records]
+        n -= 1
+    records.sort(key=lambda r: (r[0], r[1] or 0, r[2] or 0))
+    return MDGraph(
+        n,
+        tuple(e for e, _w, _f in records),
+        None if g.weights is None else tuple(w for _e, w, _f in records),
+        None if g.flows is None else tuple(f for _e, _w, f in records))
 
 
 def is_abstract(g: MDGraph) -> bool:
-    return _subdivision_vertex(g) is None
+    return _subdivision_vertex(g.vertex_count, g.edges) is None
 
 
 def isomorphic(a: MDGraph, b: MDGraph) -> bool:
@@ -392,14 +374,8 @@ def abstract_flow(f: Flow, vertex_weight: Sequence[int]) -> MDGraph:
         raise InputError("abstraction requires an integral flow")
     if len(vertex_weight) != f.n:
         raise InputError("vertex weight length must match flow dimension")
-    edges = f.support_edges()
-    verts = sorted({v for e in edges for v in e})
-    remap = {v: i for i, v in enumerate(verts)}
-    g = MDGraph(len(verts),
-                tuple((remap[t], remap[h]) for t, h in edges),
-                tuple(int(vertex_weight[t]) for t, h in edges),
-                tuple(int(f.entries[t][h]) for t, h in edges))
-    return abstract_graph(g)
+    weights = tuple(int(vertex_weight[t]) for t, _h in f.support_edges())
+    return abstract_graph(replace(f.support_graph(), weights=weights))
 
 
 def removable_edge(g: MDGraph) -> int:
@@ -424,35 +400,32 @@ def removable_edge(g: MDGraph) -> int:
         "no removable edge found in a connected abstract graph")
 
 
-def _shortest_path_edges(g: MDGraph, src: int, dst: int,
-                         forbidden: Optional[set[int]] = None) -> Optional[list[int]]:
-    """Edge indices of a BFS-shortest directed path src -> dst (may be
-    empty when src == dst), deterministic by edge index order."""
-    if src == dst:
-        return []
-    forbidden = forbidden or set()
-    prev: dict[int, tuple[int, int]] = {}
-    seen = {src}
-    frontier = [src]
-    while frontier:
+def push_cycle(g: MDGraph, vals: list, idx: int) -> None:
+    """Add one unit to vals (a list of per-edge values of g) along edge idx
+    and a BFS-shortest directed path from its head back to its tail,
+    deterministic by edge index order.  The search stops on reaching the
+    tail, so the path never runs along edge idx itself."""
+    tail, head = g.edges[idx]
+    via: dict[int, int] = {}  # vertex -> index of the edge that reached it
+    seen = {head}
+    frontier = [head]
+    while tail not in seen:
+        if not frontier:
+            raise InternalCheckError(f"edge {idx} has no return path")
         nxt = []
         for v in frontier:
-            for idx, (t, h) in enumerate(g.edges):
-                if idx in forbidden or t != v or h in seen:
+            for e, (t, h) in enumerate(g.edges):
+                if t != v or h in seen:
                     continue
-                prev[h] = (v, idx)
-                if h == dst:
-                    path = []
-                    cur = dst
-                    while cur != src:
-                        p, e = prev[cur]
-                        path.append(e)
-                        cur = p
-                    return path[::-1]
+                via[h] = e
                 seen.add(h)
                 nxt.append(h)
         frontier = nxt
-    return None
+    vals[idx] += 1
+    v = tail
+    while v != head:
+        vals[via[v]] += 1
+        v = g.edges[via[v]][0]
 
 
 def positive_flow(g: MDGraph) -> tuple[int, ...]:
@@ -466,15 +439,9 @@ def positive_flow(g: MDGraph) -> tuple[int, ...]:
     if not conn.reflexive:
         raise InputError("graph is not reflexive; it supports no positive flow")
     vals = [0] * len(g.edges)
-    for idx, (t, h) in enumerate(g.edges):
-        if vals[idx] > 0:
-            continue
-        back = _shortest_path_edges(g, h, t)
-        if back is None:
-            raise InternalCheckError("reflexive graph lost a return path")
-        vals[idx] += 1
-        for e in back:
-            vals[e] += 1
+    for idx in range(len(g.edges)):
+        if vals[idx] == 0:
+            push_cycle(g, vals, idx)
     # conservation check
     net = [0] * g.vertex_count
     for idx, (t, h) in enumerate(g.edges):

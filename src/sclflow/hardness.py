@@ -335,7 +335,8 @@ class JPairCertificate:
         return len(self.x)
 
 
-def _cyclic_pairs(n: int) -> list[tuple[int, int]]:
+def cyclic_pairs(n: int) -> list[tuple[int, int]]:
+    """The cyclically adjacent index pairs (k, k + 1 mod n)."""
     return [(k, (k + 1) % n) for k in range(n)]
 
 
@@ -362,7 +363,7 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
     if sum(xs[i] for i in j_sorted) != 0:
         raise InputError("J must have zero sum")
     comp = tuple(i for i in range(n) if i not in j_sorted)
-    for pair in _cyclic_pairs(n):
+    for pair in cyclic_pairs(n):
         ps = tuple(sorted(pair))
         if ps == j_sorted or ps == comp:
             raise InputError(
@@ -416,19 +417,21 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
 
 
 def find_zero_sum_subset(xs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A proper nonempty zero-sum index set of size at most n/2 that is not
-    a cyclically adjacent pair (nor has one as complement), if any exists."""
+    """A proper nonempty zero-sum index set of size at most n/2, if any
+    exists.
+
+    For a zero-sum list with no zero entry and no cancelling cyclically
+    adjacent pair, which is what `decide_small_scl` passes on, neither the
+    set found nor its complement is a cyclically adjacent pair: the
+    complement is a pair only for n <= 4, where the set is then a zero
+    entry (n = 3) or the other, also cancelling, pair (n = 4).
+    """
     xs = tuple(xs)
     n = len(xs)
-    adjacent = {tuple(sorted(p)) for p in _cyclic_pairs(n)}
     for size in range(1, n // 2 + 1):
         for idx in combinations(range(n), size):
-            if sum(xs[i] for i in idx) != 0:
-                continue
-            comp = tuple(i for i in range(n) if i not in idx)
-            if tuple(sorted(idx)) in adjacent or comp in adjacent:
-                continue
-            return idx
+            if sum(xs[i] for i in idx) == 0:
+                return idx
     return None
 
 
@@ -448,7 +451,9 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
     directly (they witness a weighted solution of weight at most 2); after
     that pre-check, a zero-sum set exists iff a J-pair certificate pushes
     scl strictly below the threshold, while its absence forces the minimal
-    vanishing weight to n and the lower bound to meet the threshold.
+    vanishing weight to n and the lower bound to meet the threshold.  A
+    list without a zero entry that does not sum to zero names no word and
+    is refused.
     """
     xs = tuple(map(as_int, xs))
     n = len(xs)
@@ -457,7 +462,9 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
     for j, v in enumerate(xs):
         if v == 0:
             return SmallSclDecision(True, "precheck", f"entry {j} is zero")
-    for k, k1 in _cyclic_pairs(n):
+    if sum(xs) != 0:
+        raise InputError("exponents must sum to zero")
+    for k, k1 in cyclic_pairs(n):
         if xs[k] + xs[k1] == 0:
             return SmallSclDecision(
                 True, "precheck", f"adjacent entries {k},{k1} cancel")

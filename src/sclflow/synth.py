@@ -25,7 +25,6 @@ from .errors import InputError, InternalCheckError, as_int
 from .graphs import (
     Flow,
     MDGraph,
-    _shortest_path_edges,
     abstract_flow,
     abstract_graph,
     connectivity,
@@ -34,6 +33,7 @@ from .graphs import (
     graph_to_json,
     isomorphic,
     positive_flow,
+    push_cycle,
     removable_edge,
 )
 
@@ -53,15 +53,9 @@ def step1_flow(g: MDGraph) -> tuple[tuple[int, ...], int]:
     e_star = removable_edge(g)
     rest = MDGraph(g.vertex_count,
                    tuple(e for i, e in enumerate(g.edges) if i != e_star))
-    rest_vals = positive_flow(rest) if rest.edges else ()
-    vals = list(rest_vals[:e_star]) + [0] + list(rest_vals[e_star:])
-    t, h = g.edges[e_star]
-    back = _shortest_path_edges(g, h, t, forbidden={e_star})
-    if back is None:
-        raise InternalCheckError("no return path for the distinguished edge")
-    vals[e_star] += 1
-    for e in back:
-        vals[e] += 1
+    vals = list(positive_flow(rest)) if rest.edges else []
+    vals.insert(e_star, 0)
+    push_cycle(g, vals, e_star)
     ecount = len(g.edges)
     bound = ecount ** g.vertex_count
     if vals[e_star] != 1 or any(v < 1 or v > bound for v in vals):

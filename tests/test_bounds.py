@@ -185,3 +185,15 @@ def test_conjecture_word_shape():
     assert report.predicted == F(3, 4)
     with pytest.raises(InputError):
         conjecture_check(4, 1, 1, 1)
+
+
+@pytest.mark.parametrize("call, whole_float", [
+    (universal_word, 3.0),
+    (lambda n: sample_generic_word(n, 1), 3.0),
+    (upper_bound_C, 8.0),
+], ids=["universal_word", "sample_generic_word", "upper_bound_C"])
+def test_size_parameters_must_be_ints(call, whole_float):
+    # range() and factorial() fail on any float with a TypeError
+    for value in (2.5, True, whole_float):
+        with pytest.raises(InputError, match="expected an integer"):
+            call(value)

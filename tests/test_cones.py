@@ -407,3 +407,10 @@ def test_intersection_cone_has_all_loops_ray():
     # shape beyond the three single-weight classes
     rays = extremal_rays(SPEC3)
     assert ((1, 0, 0), (0, 1, 0), (0, 0, 1)) in {r.entries for r in rays}
+
+
+@pytest.mark.parametrize("bound", [2.5, True])
+def test_enumerate_disc_vectors_bound_must_be_an_int(bound):
+    # range() would run True as bound 1 and fail on 2.5 with a TypeError
+    with pytest.raises(InputError, match="expected an integer"):
+        enumerate_disc_vectors(SPEC2, bound)

@@ -253,6 +253,18 @@ def test_decide_small_scl_routes():
     assert not d.answer and d.route == "lower-bound"
 
 
+def test_decide_small_scl_refuses_a_list_that_does_not_sum_to_zero():
+    # such a list names no word; past the precheck it would reach
+    # cone_spec through a J-pair certificate and fail there
+    with pytest.raises(InputError, match="exponents must sum to zero"):
+        decide_small_scl([1, 5, -1, 7])
+    with pytest.raises(InputError, match="exponents must sum to zero"):
+        decide_small_scl([1, -1, 3])
+    # a zero entry is still answered by the precheck
+    d = decide_small_scl([0, 5, 1])
+    assert d.answer and d.route == "precheck"
+
+
 def test_reduction_driver_matches_brute_force():
     rng = random.Random(14)
     for _ in range(40):

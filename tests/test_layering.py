@@ -1,6 +1,6 @@
 """The package's modules form layers: no module imports, at module level or
 inside a function, a module that imports it back, directly or through
-others."""
+others; and no module imports a sibling's private (`_`-prefixed) name."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,14 @@ def test_find_cycle_finds_a_cycle():
 
 def test_modules_import_no_cycle():
     assert find_cycle(import_graph()) is None
+
+
+def test_modules_import_no_private_sibling_name():
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private += [f"{path.stem} <- {node.module}.{alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []
