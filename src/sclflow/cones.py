@@ -37,6 +37,9 @@ from .words import ExponentMatrix, matrix, validate_Mn
 DISC_N_LIMIT = 8
 DISC_BOUND_LIMIT = 6
 RAY_N_LIMIT = 5
+# the bounded-flow search recurses once per edge, and Python's default
+# recursion limit is 1000; synthesized points reach 340 support edges
+FLOW_EDGE_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -261,9 +264,13 @@ def iter_bounded_flows(edges: Sequence[tuple[int, int]],
     vertex by vertex through partial net flow and remaining capacity: an
     edge's value runs only over the interval that keeps both its endpoints
     balanceable by the edges still to come.  Edges are processed in DFS
-    order so chains collapse early.
+    order so chains collapse early.  More than FLOW_EDGE_LIMIT edges are
+    refused.
     """
     original_edges, original_caps = list(edges), list(caps)
+    if len(original_edges) > FLOW_EDGE_LIMIT:
+        raise LimitExceeded(
+            f"bounded-flow search limited to {FLOW_EDGE_LIMIT} edges")
     order = _traversal_order(original_edges)
     inverse = [0] * len(order)
     for pos, idx in enumerate(order):

@@ -374,7 +374,7 @@ def abstract_flow(f: Flow, vertex_weight: Sequence[int]) -> MDGraph:
         raise InputError("abstraction requires an integral flow")
     if len(vertex_weight) != f.n:
         raise InputError("vertex weight length must match flow dimension")
-    weights = tuple(int(vertex_weight[t]) for t, _h in f.support_edges())
+    weights = tuple(as_int(vertex_weight[t]) for t, _h in f.support_edges())
     return abstract_graph(replace(f.support_graph(), weights=weights))
 
 

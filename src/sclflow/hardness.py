@@ -70,26 +70,10 @@ def instance_to_json(inst: SubsetInstance) -> dict:
     return {"variant": inst.variant, "vectors": [list(v) for v in inst.vectors]}
 
 
-def instance_from_json(obj) -> SubsetInstance:
-    try:
-        return instance(obj["variant"], obj["vectors"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed instance JSON: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class SubsetAnswer:
     answer: bool
     witness: Optional[tuple[int, ...]] = None
-
-
-def _vec_sum(vectors, lam):
-    k = len(vectors[0]) if vectors else 0
-    return tuple(sum(l * v[c] for l, v in zip(lam, vectors)) for c in range(k))
-
-
-def _zero(k):
-    return tuple(0 for _ in range(k))
 
 
 def _solve_binary(vectors, proper: bool) -> SubsetAnswer:
@@ -255,20 +239,6 @@ def verify_table_properties(table: ReductionTable) -> list[TableWitnessReport]:
     return reports
 
 
-def table_witness_from_base(table: ReductionTable,
-                            mu: Sequence[int]) -> tuple[int, ...]:
-    """Lift an SSP witness on the base list to an SSP witness on the table
-    columns (valid when r was chosen as the witness weight)."""
-    n = table.n
-    mu = tuple(map(as_int, mu))
-    if sum(mu) != table.r:
-        raise InputError("lifting needs r equal to the witness weight")
-    lam = list(mu) + [1 - m for m in mu] + [1, 0]
-    if _vec_sum(table.columns, lam) != _zero(n + 3):
-        raise InternalCheckError("lifted witness does not annihilate the table")
-    return tuple(lam)
-
-
 # ---------------------------------------------------------------------------
 # Collapse from vectors to integers
 # ---------------------------------------------------------------------------
@@ -416,25 +386,6 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
                             certified_upper=certified)
 
 
-def find_zero_sum_subset(xs: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """A proper nonempty zero-sum index set of size at most n/2, if any
-    exists.
-
-    For a zero-sum list with no zero entry and no cancelling cyclically
-    adjacent pair, which is what `decide_small_scl` passes on, neither the
-    set found nor its complement is a cyclically adjacent pair: the
-    complement is a pair only for n <= 4, where the set is then a zero
-    entry (n = 3) or the other, also cancelling, pair (n = 4).
-    """
-    xs = tuple(xs)
-    n = len(xs)
-    for size in range(1, n // 2 + 1):
-        for idx in combinations(range(n), size):
-            if sum(xs[i] for i in idx) == 0:
-                return idx
-    return None
-
-
 @dataclass(frozen=True)
 class SmallSclDecision:
     answer: bool
@@ -453,7 +404,8 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
     scl strictly below the threshold, while its absence forces the minimal
     vanishing weight to n and the lower bound to meet the threshold.  A
     list without a zero entry that does not sum to zero names no word and
-    is refused.
+    is refused, and past the pre-check the subset search is limited to
+    SS_BRUTE_LIMIT entries.
     """
     xs = tuple(map(as_int, xs))
     n = len(xs)
@@ -468,8 +420,14 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
         if xs[k] + xs[k1] == 0:
             return SmallSclDecision(
                 True, "precheck", f"adjacent entries {k},{k1} cancel")
-    j_set = find_zero_sum_subset(xs)
-    if j_set is not None:
+    # the list sums to zero, so the complement of a zero-sum set is one
+    # too, and the first set the size-by-size search finds has at most n/2
+    # entries; past the precheck neither it nor its complement is a
+    # cyclically adjacent pair (that happens only for n <= 4, where the
+    # set would be a zero entry or the other, also cancelling, pair)
+    subset = solve_subset(instance("SSP", xs))
+    if subset.answer:
+        j_set = tuple(i for i, b in enumerate(subset.witness) if b)
         cert = j_pair_certificate(xs, j_set)
         threshold = Fraction(n, 2) - 1
         if not cert.certified_upper < threshold:

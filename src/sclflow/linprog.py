@@ -75,11 +75,7 @@ def int_scaled(values) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduced row echelon form over Q; zero rows dropped.
-
-    The output canonically represents the row space, so it can serve as a
-    dictionary key for anything that depends only on that space.
-    """
+    """Reduced row echelon form over Q; zero rows dropped."""
     mat = [[rat(x) for x in row] for row in rows]
     if not mat:
         return ()

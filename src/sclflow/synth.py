@@ -21,7 +21,7 @@ from .cones import (
     iter_bounded_flows,
     iter_cone_members,
 )
-from .errors import InputError, InternalCheckError, as_int
+from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 from .graphs import (
     Flow,
     MDGraph,
@@ -39,6 +39,9 @@ from .graphs import (
 
 STEP2_CHECK_FACTOR = 3  # step 2 brute-forces flows up to this multiple of f
 EXTREMAL_N_MAX = 3  # synthesized points are checked extremal up to this N
+# step 3's complete digraph: 408 vertices for the largest 3-edge abstract
+# graph, 1586 for the smallest 4-edge one
+SYNTH_VERTEX_LIMIT = 500
 
 
 def step1_flow(g: MDGraph) -> tuple[tuple[int, ...], int]:
@@ -211,10 +214,15 @@ def minimal_vertex_weight(g: MDGraph, weights: Sequence[int]) -> tuple[int, ...]
 
     Balance (equally many entries of each sign) keeps the weight a valid
     single-row exponent matrix, i.e. the word stays in the commutator
-    subgroup; only the totals matter for the construction.
+    subgroup; only the totals matter for the construction.  More than
+    SYNTH_VERTEX_LIMIT vertices are refused.
     """
     plus, minus = _vertex_budget(g, weights)
     half = max(plus, minus)
+    if 2 * half > SYNTH_VERTEX_LIMIT:
+        raise LimitExceeded(
+            f"synthesis limited to {SYNTH_VERTEX_LIMIT} vertices, this graph "
+            f"needs {2 * half}")
     return tuple([1] * half + [-1] * half)
 
 

@@ -158,10 +158,3 @@ def render_word(w: Word) -> str:
 
 def word_to_json(w: Word) -> dict:
     return {"n": w.n, "x": [list(r) for r in w.x.rows], "y": [list(r) for r in w.y.rows]}
-
-
-def word_from_json(obj) -> Word:
-    try:
-        return make_word(obj["n"], obj["x"], obj["y"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed word JSON: {exc}") from exc

@@ -338,6 +338,29 @@ def test_gadget_essential_refuses_more_than_sixteen_values(capsys):
     assert err.startswith("refused:")
 
 
+@pytest.mark.parametrize("argv, files", [
+    (["gadget", "smallscl", "--values",
+      ",".join(str(v) for v in [2 ** k for k in range(17)] + [1 - 2 ** 17])],
+     {}),
+    (["essential", "a b " * 34 + "a^-34 b^-34", "--disc", "{disc}"],
+     {"disc": {"n": 35, "entries": [[1] * 35] * 35}}),
+    (["synth", "--graph", "{graph}"],
+     {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0], [0, 0], [1, 1]]}}),
+], ids=["smallscl-17-powers", "essential-35-blocks", "synth-4-edges"])
+def test_searches_past_their_caps_are_refused(tmp_path, capsys, argv, files):
+    # uncapped, the first ran for minutes and the other two ended in a
+    # RecursionError traceback
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    argv = [a.format(**{k: tmp_path / f"{k}.json" for k in files}) for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err.startswith("refused:")
+
+
 W_UNSTABLE = "a^-3 b^-1 a b a b^-1 a b"
 
 

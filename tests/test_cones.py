@@ -7,6 +7,7 @@ import pytest
 from sclflow import cones
 from sclflow.cones import (
     DISC_BOUND_LIMIT,
+    FLOW_EDGE_LIMIT,
     ConeSpec,
     _support_strongly_connected,
     cone_spec,
@@ -368,6 +369,16 @@ def test_iter_bounded_flows_matches_brute_force():
                 expected.append(vals)
         flows = list(iter_bounded_flows(edges, caps))
         assert sorted(flows) == expected, (edges, caps)
+
+
+def test_iter_bounded_flows_refuses_more_edges_than_the_limit():
+    # the search recurses once per edge; past the limit it is refused
+    # before Python's recursion limit is reached
+    loops = [(0, 0)] * FLOW_EDGE_LIMIT
+    assert list(iter_bounded_flows(loops, [0] * FLOW_EDGE_LIMIT)) == [
+        (0,) * FLOW_EDGE_LIMIT]
+    with pytest.raises(LimitExceeded):
+        next(iter_bounded_flows(loops + [(0, 0)], [0] * (FLOW_EDGE_LIMIT + 1)))
 
 
 def test_ray_component_shapes_fall_into_three_classes():

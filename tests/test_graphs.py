@@ -175,6 +175,12 @@ def test_abstract_flow_cancelling_weights():
     assert a.flows == (1,)
 
 
+@pytest.mark.parametrize("weights", [[1.5, -1], ["7", -1]])
+def test_abstract_flow_refuses_non_integer_weights(weights):
+    with pytest.raises(InputError, match="expected an integer"):
+        abstract_flow(cycle_flow(2, [0, 1]), weights)
+
+
 def test_abstract_flow_triangle_weights():
     f = cycle_flow(3, [0, 1, 2])
     a = abstract_flow(f, [2, -1, -1])

@@ -15,13 +15,10 @@ from sclflow.hardness import (
     essential_gadget,
     essential_gadget_answer,
     instance,
-    instance_from_json,
-    instance_to_json,
     j_pair_certificate,
     reduce_ss_to_smallscl,
     small_scl_instance,
     solve_subset,
-    table_witness_from_base,
     verify_table_properties,
 )
 from sclflow.graphs import mdgraph
@@ -160,12 +157,19 @@ def test_table_witness_properties():
 
 
 def test_table_witness_lift():
-    # mu = (1,1,0,0) kills the base row with weight 2, so it lifts at r = 2
+    # mu = (1,1,0,0) kills the base row with weight 2, so
+    # lambda = (mu, 1 - mu, 1, 0) kills every table row at r = 2 only
+    mu = [1, 1, 0, 0]
+    lam = mu + [1 - m for m in mu] + [1, 0]
+
+    def residue(t):
+        return [sum(l * c[row] for l, c in zip(lam, t.columns))
+                for row in range(t.n + 3)]
+
     t = build_table([1, -1, 2, -2], 2)
-    lam = table_witness_from_base(t, [1, 1, 0, 0])
-    assert sum(lam) < len(t.columns)
-    with pytest.raises(InputError):
-        table_witness_from_base(t, [1, 1, 1, 0])  # weight 3 != r
+    assert 0 < sum(lam) < len(t.columns)
+    assert not any(residue(t))
+    assert any(residue(build_table([1, -1, 2, -2], 1)))
 
 
 def test_build_table_input_validation():
@@ -265,6 +269,18 @@ def test_decide_small_scl_refuses_a_list_that_does_not_sum_to_zero():
     assert d.answer and d.route == "precheck"
 
 
+def test_decide_small_scl_refuses_more_than_the_brute_limit_past_the_precheck():
+    # powers of two and their negated sum: no proper zero-sum subset, so
+    # an uncapped search would visit every subset of up to half the list
+    powers = [2 ** k for k in range(SS_BRUTE_LIMIT)]
+    with pytest.raises(LimitExceeded):
+        decide_small_scl(powers + [-sum(powers)])
+    # the precheck still answers longer lists
+    assert decide_small_scl([0] + powers).route == "precheck"
+    d = decide_small_scl([1, -1] + powers + [-sum(powers)])
+    assert d.answer and d.route == "precheck"
+
+
 def test_reduction_driver_matches_brute_force():
     rng = random.Random(14)
     for _ in range(40):
@@ -311,18 +327,12 @@ def test_essential_gadget_refuses_more_than_the_brute_limit(values):
     assert len(essential_gadget(values[1:]).balanced) == SS_BRUTE_LIMIT + 1
 
 
-def test_instance_json_round_trip():
-    inst = instance("VARSSP", [[1, 0], [-1, 1], [0, -1]])
-    assert instance_from_json(instance_to_json(inst)) == inst
-
-
 @pytest.mark.parametrize("call", [
     lambda: instance("SS", [1.7, -1.2]),
     lambda: instance("SS", [[1, F(1, 2)]]),
     lambda: append_balance([1.5, 2]),
     lambda: build_table([1.5, -1.5], 1),
     lambda: build_table([1, -1], 1.5),
-    lambda: table_witness_from_base(build_table([1, -1, 2, -2], 2), [1.0, 1, 0, 0]),
     lambda: collapse([[1.5, 0], [-1.5, 0]], 2),
     lambda: collapse([[1, 2], [-1, -2]], 1.5),
     lambda: small_scl_instance([1.5, -1.2]),
@@ -335,7 +345,7 @@ def test_instance_json_round_trip():
     lambda: step2_weights(mdgraph(2, [(0, 1), (1, 0)]), [1.5, 1], 0),
     lambda: step3_concretize(mdgraph(1, [(0, 0)]), [1.7], [0.5], [1, -1, 1, -1]),
 ], ids=["instance", "instance-vector", "append_balance", "build_table",
-        "build_table-r", "table_witness_from_base", "collapse",
+        "build_table-r", "collapse",
         "collapse-usage_bound", "small_scl_instance", "j_pair_certificate",
         "decide_small_scl", "reduce_ss_to_smallscl", "essential_gadget",
         "essential_gadget_answer", "lemma_numbers", "step2_weights",

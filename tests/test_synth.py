@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sclflow.errors import InputError
+from sclflow.errors import InputError, LimitExceeded
 from sclflow.graphs import (
     abstract_flow,
     abstract_graph,
@@ -11,6 +11,7 @@ from sclflow.graphs import (
     mdgraph,
 )
 from sclflow.synth import (
+    SYNTH_VERTEX_LIMIT,
     lemma_numbers,
     minimal_vertex_weight,
     step1_flow,
@@ -122,6 +123,21 @@ def test_step3_abstraction_round_trip():
     target = mdgraph(1, [(0, 0), (0, 0)], weights=list(weights),
                      flows=list(vals))
     assert isomorphic(abstract_flow(flow, x), target)
+
+
+def test_minimal_vertex_weight_refuses_more_than_the_vertex_limit():
+    # the largest 3-edge abstract graph needs 408 vertices, four loops at
+    # one vertex 1586; the refusal comes before anything is allocated
+    vals, e_star = step1_flow(PARALLEL)
+    assert len(minimal_vertex_weight(
+        PARALLEL, step2_weights(PARALLEL, vals, e_star))) == 408
+    loops = mdgraph(1, [(0, 0)] * 4)
+    vals, e_star = step1_flow(loops)
+    weights = step2_weights(loops, vals, e_star)
+    with pytest.raises(LimitExceeded, match=f"{SYNTH_VERTEX_LIMIT} vertices"):
+        minimal_vertex_weight(loops, weights)
+    with pytest.raises(LimitExceeded):
+        synthesize_extremal(mdgraph(2, [(0, 1), (1, 0), (0, 0), (1, 1)]))
 
 
 def test_synthesize_loop():

@@ -13,8 +13,6 @@ from sclflow.words import (
     reduced_length,
     render_word,
     validate_Mn,
-    word_from_json,
-    word_to_json,
 )
 
 
@@ -143,8 +141,3 @@ def test_parsed_words_always_satisfy_membership(p, q):
         return
     w = parse_word(f"a^{p} b^{q} a^{-p} b^{-q}")
     assert validate_Mn(w.x) and validate_Mn(w.y)
-
-
-def test_word_json_round_trip():
-    w = parse_word("a1 b1 b2 a1^-1 b1^-1 b2^-1")
-    assert word_from_json(word_to_json(w)) == w
