@@ -78,7 +78,9 @@ class SubsetAnswer:
 
 def _solve_binary(vectors, proper: bool) -> SubsetAnswer:
     n = len(vectors)
-    top = n - 1 if proper else n
+    # proper instances sum to zero, so the complement of a zero-sum set is
+    # one too, and the smallest proper one has at most n/2 entries
+    top = n // 2 if proper else n
     for size in range(1, top + 1):
         # the index and vector combinations come out in the same order
         for idx, combo in zip(combinations(range(n), size),
@@ -420,11 +422,10 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
         if xs[k] + xs[k1] == 0:
             return SmallSclDecision(
                 True, "precheck", f"adjacent entries {k},{k1} cancel")
-    # the list sums to zero, so the complement of a zero-sum set is one
-    # too, and the first set the size-by-size search finds has at most n/2
-    # entries; past the precheck neither it nor its complement is a
-    # cyclically adjacent pair (that happens only for n <= 4, where the
-    # set would be a zero entry or the other, also cancelling, pair)
+    # the set found has at most n/2 entries, and past the precheck neither
+    # it nor its complement is a cyclically adjacent pair: that happens
+    # only for n <= 4, where the set would be a zero entry or the other,
+    # also cancelling, pair
     subset = solve_subset(instance("SSP", xs))
     if subset.answer:
         j_set = tuple(i for i, b in enumerate(subset.witness) if b)
