@@ -15,9 +15,11 @@ combinatorial adjacency test.
 
 Disc vectors come from one enumerator, `priced_discs`: tables with
 prescribed annihilating row and column sums, cut as soon as their running
-cost under nonnegative integer entry costs reaches a budget.  Without costs
-it lists every disc up to the bound (`enumerate_disc_vectors`); with the
+cost under nonnegative integer entry costs reaches a budget, each row
+drawn from a list of candidates and the last row forced.  Without costs it
+lists every disc up to the bound (`enumerate_disc_vectors`); with the
 integer-scaled duals of a packing LP it is that LP's pricing oracle.
+Supports are tested for strong connectivity on int bitmasks of vertices.
 Nothing here is memoized.
 """
 
@@ -27,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import le, mul
+from operator import le, mul, sub
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, LimitExceeded, as_int
-from .graphs import Flow, outflow_vector, reachable
+from .graphs import Flow, outflow_vector
 from .words import ExponentMatrix, matrix, validate_Mn
 
 DISC_N_LIMIT = 8
@@ -79,27 +81,41 @@ def in_cone(spec: ConeSpec, f: Flow) -> bool:
         not any(_weights(spec, outflow_vector(f)))
 
 
+def _reach(nbrs: dict[int, int], start: int) -> int:
+    """Bitmask of the vertices reachable from the vertex bit `start` along
+    nbrs (vertex -> bitmask of its neighbours; missing keys have none)."""
+    seen = todo = start
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = nbrs.get(low.bit_length() - 1, 0) & ~seen
+        seen |= new
+        todo |= new
+    return seen
+
+
 def _support_strongly_connected(edges) -> bool:
     """Strong connectivity of the digraph spanned by the support edges
-    (tail, head), with the flow fact that weak connectivity suffices
-    verified on the way."""
-    adj: dict[int, list[int]] = {}
-    radj: dict[int, list[int]] = {}
+    (tail, head), on int bitmasks of vertices, with the flow fact that weak
+    connectivity suffices verified on the way."""
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    verts = 0
     for t, h in edges:
-        adj.setdefault(t, []).append(h)
-        radj.setdefault(h, []).append(t)
-    if not adj:
+        succ[t] = succ.get(t, 0) | 1 << h
+        pred[h] = pred.get(h, 0) | 1 << t
+        verts |= 1 << t | 1 << h
+    if not verts:
         return False
-    verts = adj.keys() | radj.keys()
-    start = next(iter(adj))
-    strong = verts <= reachable(adj, start) and verts <= reachable(radj, start)
-    if not strong:
-        both = {v: adj.get(v, []) + radj.get(v, []) for v in verts}
-        if verts <= reachable(both, start):
-            # a conserved flow's support cannot be weakly but not strongly
-            # connected; reaching this line would falsify that fact
-            raise InternalCheckError("flow support weakly but not strongly connected")
-    return strong
+    start = verts & -verts
+    if _reach(succ, start) == verts and _reach(pred, start) == verts:
+        return True
+    both = {v: succ.get(v, 0) | pred.get(v, 0) for v in succ.keys() | pred.keys()}
+    if _reach(both, start) == verts:
+        # a conserved flow's support cannot be weakly but not strongly
+        # connected; reaching this line would falsify that fact
+        raise InternalCheckError("flow support weakly but not strongly connected")
+    return False
 
 
 def is_disc_vector(spec: ConeSpec, f: Flow) -> bool:
@@ -112,48 +128,43 @@ def is_disc_vector(spec: ConeSpec, f: Flow) -> bool:
 # Enumeration of disc vectors up to an outflow bound
 # ---------------------------------------------------------------------------
 
-def _annihilating_outflows(spec: ConeSpec, bound: int) -> list[tuple[int, ...]]:
-    return [o for o in product(range(bound + 1), repeat=spec.n)
-            if any(o) and not any(_weights(spec, o))]
+def _compositions(amount: int, parts: int) -> list[tuple[int, ...]]:
+    """The `parts`-tuples of ints >= 0 summing to `amount`, in lexicographic order."""
+    if parts == 1:
+        return [(amount,)]
+    return [(v,) + rest for v in range(amount + 1)
+            for rest in _compositions(amount - v, parts - 1)]
 
 
-def _iter_tables(sums: tuple[int, ...], costs, budget: int
+def _iter_tables(sums: tuple[int, ...], candidates, costs, budget: int
                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All nonnegative integer n x n matrices t with row sums and column
-    sums both equal to `sums` and cost sum(costs[i][j] * t[i][j]) below
-    `budget`, for int costs >= 0.  The running cost only grows, so a row,
-    or a partial row, is dropped once it reaches the budget."""
-    n = len(sums)
-    total = sum(sums)
+    """In lexicographic order, the nonnegative integer n x n matrices t
+    with row and column sums `sums` and cost sum(costs[i][j] * t[i][j])
+    below `budget`, for int costs >= 0, whose rows each come from
+    candidates[i][sums[i]]: (row, cost) pairs in lexicographic order.  The
+    running cost only grows, so a candidate is dropped once it costs the
+    room the rows above left, as is one that overfills or underfills a
+    column.  The last row is what the column sums leave; like a candidate,
+    it may not put a positive sum all on its loop entry."""
+    last = len(sums) - 1
+    rows = [()] * len(sums)
 
-    def compositions(amount, caps, cost_row, room, idx, acc):
-        # room = budget - running cost, always positive here
-        c = cost_row[idx]
-        if idx == n - 1:
-            if amount <= caps[idx] and amount * c < room:
-                yield acc + (amount,), room - amount * c
+    def rec(i, cols, after, room):
+        if i == last:
+            lone_loop = sums[i] and cols[i] == sums[i]
+            if not lone_loop and sum(map(mul, costs[i], cols)) < room:
+                rows[i] = cols
+                yield tuple(rows)
             return
-        top = min(amount, caps[idx])
-        if c:
-            top = min(top, (room - 1) // c)
-        for v in range(top + 1):
-            yield from compositions(amount - v, caps, cost_row, room - v * c,
-                                    idx + 1, acc + (v,))
+        after -= sums[i]
+        for row, cost in candidates[i][sums[i]]:
+            if cost < room:
+                left = tuple(map(sub, cols, row))
+                if min(left) >= 0 and max(left) <= after:
+                    rows[i] = row
+                    yield from rec(i + 1, left, after, room - cost)
 
-    def rec(i, cols_left, rows_acc, remaining_total, room):
-        if i == n:
-            yield tuple(rows_acc)
-            return
-        after = remaining_total - sums[i]
-        for row, left in compositions(sums[i], cols_left, costs[i], room, 0, ()):
-            new_cols = tuple(c - v for c, v in zip(cols_left, row))
-            if max(new_cols, default=0) > after:
-                continue
-            rows_acc.append(row)
-            yield from rec(i + 1, new_cols, rows_acc, after, left)
-            rows_acc.pop()
-
-    yield from rec(0, sums, [], total, budget)
+    yield from rec(0, sums, sum(sums), budget)
 
 
 def priced_discs(spec: ConeSpec, bound: int, costs=None,
@@ -162,10 +173,14 @@ def priced_discs(spec: ConeSpec, bound: int, costs=None,
     sum(costs[i][j] * d[i][j]) < budget, for an n x n table of int costs
     >= 0 (all zero when omitted), in `enumerate_disc_vectors`' order.
 
-    Tables are cut while they are built, as soon as their running cost
-    reaches the budget, so a pricing round visits only the tables that can
-    still price in.  The limits are checked when this is called, before
-    the first disc is produced.
+    Row i of a table is drawn from the rows of its sum, listed once per
+    call, that cost less than the budget on their own and do not put a
+    positive sum all on the loop (i, i): that would cut vertex i off, and
+    an annihilating outflow is positive at two vertices at least, as no
+    column of the cone's rows is zero.  Tables are cut as soon as their
+    running cost reaches the budget, so a pricing round visits only the
+    tables that can still price in.  The limits, the costs and the budget
+    are checked when this is called, before the first disc is produced.
     """
     if spec.n > DISC_N_LIMIT:
         raise LimitExceeded(f"disc enumeration limited to n <= {DISC_N_LIMIT}")
@@ -175,15 +190,29 @@ def priced_discs(spec: ConeSpec, bound: int, costs=None,
     if bound > DISC_BOUND_LIMIT:
         raise LimitExceeded(f"disc enumeration limited to bound <= {DISC_BOUND_LIMIT}")
     n = spec.n
+    budget = as_int(budget)
     if costs is None:
         costs = ((0,) * n,) * n
+    if not (isinstance(costs, Sequence) and len(costs) == n and all(
+            isinstance(row, Sequence) and len(row) == n for row in costs)):
+        raise InputError(f"entry costs must form an {n} x {n} table")
+    costs = [tuple(map(as_int, row)) for row in costs]
+    if min(map(min, costs)) < 0:
+        raise InputError("entry costs must be nonnegative")
 
     def discs():
-        for o in sorted(_annihilating_outflows(spec, bound)):
-            for entries in _iter_tables(o, costs, budget):
-                support = [(i, j) for i, row in enumerate(entries)
-                           for j, v in enumerate(row) if v]
-                if _support_strongly_connected(support):
+        rows_of_sum = [_compositions(s, n) for s in range(bound + 1)]
+        candidates = [[[(row, cost) for row in rows
+                        if (cost := sum(map(mul, costs[i], row))) < budget
+                        and not (s and row[i] == s)]
+                       for s, rows in enumerate(rows_of_sum)] for i in range(n)]
+        for o in product(range(bound + 1), repeat=n):
+            if not any(o) or any(_weights(spec, o)):
+                continue
+            for entries in _iter_tables(o, candidates, costs, budget):
+                if _support_strongly_connected(
+                        (i, j) for i, row in enumerate(entries)
+                        for j, v in enumerate(row) if v):
                     yield Flow(n, entries)
 
     return discs()

@@ -7,8 +7,8 @@ digraph with n vertices (loops included, so an n x n matrix) satisfying
 conservation at every vertex.  `mdgraph` and `flow_from_json` refuse a
 non-integer where an integer belongs rather than truncate it.
 
-One search, `reachable`, answers every connectivity question: component
-partitions here and strong connectivity of flow supports in `cones`.
+One search, `reachable`, gives the component partitions; `cones` tests
+the strong connectivity of flow supports on vertex bitmasks.
 
 Abstraction works on one list of (edge, weight, flow) records, None for an
 absent attribute.  It repeatedly smooths subdivision vertices: a vertex

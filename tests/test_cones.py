@@ -203,10 +203,30 @@ def test_priced_discs_are_the_discs_below_the_budget(n, rows, bound):
         priced_discs(spec, 7)  # refused when called, not when first read
 
 
+@pytest.mark.parametrize("costs,budget", [
+    ([[0, -1, 0], [0, 0, 0], [0, 0, 0]], 1),  # would price in too few discs
+    ([[0, 0.5, 0], [0, 0, 0], [0, 0, 0]], 1),
+    ([[0, 0, 0], [0, 0, 0]], 1),
+    ([[0, 0, 0], [0, 0], [0, 0, 0]], 1),
+    (3, 1),
+    ([[0] * 3] * 3, 1.5),
+])
+def test_priced_discs_refuses_bad_costs(costs, budget):
+    # refused when called, before the first disc
+    with pytest.raises(InputError):
+        priced_discs(cone_spec(3, [[1, 1, -2]]), 2, costs, budget)
+
+
 def test_support_connectivity_checks_the_flow_fact():
     assert _support_strongly_connected([(0, 1), (1, 2), (2, 0), (1, 1)])
     assert not _support_strongly_connected([(0, 1), (1, 0), (2, 2)])
     assert not _support_strongly_connected([])
+    assert _support_strongly_connected([(0, 3), (3, 0)])  # labels need not be 0..k
+    assert _support_strongly_connected([(2, 2)])
+    assert not _support_strongly_connected([(0, 0), (2, 2)])
+    # a cycle through the highest vertex a disc may have
+    top = cones.DISC_N_LIMIT - 1
+    assert _support_strongly_connected([(0, top), (top, 5), (5, 0)])
     # weakly but not strongly connected: no conserved flow has this support
     with pytest.raises(InternalCheckError):
         _support_strongly_connected([(0, 1), (1, 0), (1, 2)])
