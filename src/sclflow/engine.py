@@ -13,13 +13,15 @@ outflow at most one, and each round the pricing oracle
 `cones.priced_discs`, reading entry costs off the LP's duals, lists exactly
 the discs of positive reduced cost.  Once there are none, the optimum holds
 over every disc.  The LP at bound B restricts the LP at B+1, so one run
-serves every bound tried.  Each LP is built straight from sparse integer
-rows.  Truncation to outflow bound B can only shrink the admissible
-decompositions, so the computed value is always an upper bound for scl.
-It is reported as `stabilized` when it meets the combinatorial lower
-bound, or when two consecutive bounds agree.  Nothing on this path is
-memoized.  `conjecture_check` sets the computed value of a four-block
-family against its predicted closed form.
+serves every bound tried.  Each restricted LP extends the last one by its
+new columns, so the simplex resumes from the last optimum, which stays
+primal feasible, and runs phase 1 once per run.  Truncation to outflow
+bound B can only shrink the admissible decompositions, so the computed
+value is always an upper bound for scl.  It is reported as `stabilized`
+when it meets the combinatorial lower bound, or when two consecutive
+bounds agree.  Nothing on this path is memoized.  `conjecture_check` sets
+the computed value of a four-block family against its predicted closed
+form.
 """
 
 from __future__ import annotations
@@ -78,7 +80,10 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
     column in the LP has reduced cost <= 0 at its optimum.  Once none prices
     in at a bound, (bound, LPResult, (side, disc) columns in variable order)
     is yielded; the next bound prices against that optimum, so the yielded
-    `columns` list grows once the generator resumes.
+    `columns` list grows once the generator resumes.  Every LP after the
+    first only appends columns to the last, so `solve_lp` resumes from the
+    last result: phase 1 runs once, and each round and bound pivots on from
+    the last optimum.
     """
     res = None
 
@@ -91,7 +96,7 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
                     if v:
                         ineqs[first + i * d.n + j][0][k] = v
         obj = (0,) * n_fixed + (1,) * len(columns)
-        return solve_lp(LinearProgram(obj, tuple(eq_rows), tuple(ineqs)))
+        return solve_lp(LinearProgram(obj, tuple(eq_rows), tuple(ineqs)), start=res)
 
     for bound in bounds:
         for spec, _first in sides:

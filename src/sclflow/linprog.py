@@ -7,13 +7,16 @@ sparse map {variable index: nonzero coefficient}, the coefficients ints or
 `Fraction`s; `make_lp` is the dense front, which turns rows listing one
 coefficient per variable into such maps.  The solver is a two-phase primal
 simplex with Bland's anti-cycling pivot rule, which makes it deterministic
-for a fixed input.  Inside, it works on a sparse integer tableau whose
-column j is variable j: each row is a map from column to nonzero int plus
-an int rhs over one positive int denominator, and pivots are fraction-free
-(Edmonds) eliminations that touch only the rows with an entry in the pivot
-column.  `solve_square_int` solves square integer systems fraction-free
-as well (Bareiss), and `int_scaled` is the one place rationals are brought
-to a common denominator.
+for a fixed input.  Inside, it works on a sparse integer tableau: each row
+is a map from column to nonzero int plus an int rhs over one positive int
+denominator, and pivots are fraction-free (Edmonds) eliminations that touch
+only the rows with an entry in the pivot column.  Its columns are the LP's
+variables (column j is variable j), then one slack per inequality, then the
+artificials, then the variables appended when a solve resumes from the
+optimum of an LP it extends; only the artificials are barred from entering
+phase 2.  A resumed solve runs phase 2 alone.  `solve_square_int` solves
+square integer systems fraction-free as well (Bareiss), and `int_scaled` is
+the one place rationals are brought to a common denominator.
 
 A brute-force vertex enumerator serves as an independent oracle for the
 simplex.
@@ -22,7 +25,8 @@ simplex.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from copy import copy as shallow_copy
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as gcd_int
@@ -190,6 +194,12 @@ class LPResult:
     # duals: one multiplier per eq row followed by one per ineq row
     eq_duals: Optional[tuple[Fraction, ...]] = None
     ineq_duals: Optional[tuple[Fraction, ...]] = None
+    # pivots of this solve; phase 1 ends with the artificials driven out,
+    # and a resumed solve counts all of its pivots in phase 2
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    # an optimum's final tableau, which `solve_lp(lp, start=)` resumes from
+    tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
 def make_lp(objective, eq=(), ineq=()) -> LinearProgram:
@@ -214,6 +224,28 @@ def make_lp(objective, eq=(), ineq=()) -> LinearProgram:
 # ---------------------------------------------------------------------------
 # Two-phase simplex, Bland's rule, on a sparse integer tableau
 # ---------------------------------------------------------------------------
+
+def _rational(x):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise InputError(f"LP entry {x!r} is not an int or a Fraction")
+
+
+def _split(row, dim: int) -> dict:
+    """The nonzero entries of a sparse row {variable: coefficient} over the
+    variables 0..dim-1."""
+    if not isinstance(row, Mapping):
+        raise InputError(f"constraint row is a {type(row).__name__}, "
+                         "not a map {variable: coefficient}")
+    out = {}
+    for i, c in row.items():
+        if not (isinstance(i, int) and 0 <= i < dim):
+            raise InputError(f"constraint row names variable {i!r}, "
+                             f"outside 0..{dim - 1}")
+        if _rational(c):
+            out[i] = c
+    return out
+
 
 def _reduce(row: dict, rhs: int, den: int) -> tuple[dict, int, int]:
     """Divide a tableau row, its rhs and its denominator by their gcd."""
@@ -243,27 +275,68 @@ def _eliminate(row: dict, rhs: int, den: int, prow: dict, prhs: int,
     return _reduce(new, p * rhs - f * prhs, den * p)
 
 
+def _appended(row: dict, rhs: int, den: int,
+              entries: dict) -> tuple[dict, int, int]:
+    """A row with new columns {column: entry times den}, the entries ints
+    or `Fraction`s; the row is scaled by their common denominator."""
+    entries = {j: x for j, x in entries.items() if x}
+    if not entries:
+        return row, rhs, den
+    ints, scale = int_scaled(entries.values())
+    if scale > 1:
+        row = {j: v * scale for j, v in row.items()}
+        rhs, den = rhs * scale, den * scale
+    return _reduce({**row, **dict(zip(entries, ints))}, rhs, den)
+
+
 class _Tableau:
-    """Sparse fraction-free simplex tableau.
+    """Sparse fraction-free simplex tableau of the LP `lp`.
 
     Row i stands for the equation sum_j rows[i][j] * x_j = rhs[i], divided
     through by den[i]: `rows[i]` maps a column to its nonzero int
     coefficient, `rhs[i]` is an int and `den[i]` a positive int shared by
     the whole row, and the three have no common factor.  The basic column
     of row i carries the entry den[i], so its value is rhs[i] / den[i].
-    Columns are numbered the LP's variables first (column j is variable
-    j), then slacks, then artificials.  The reduced-cost row `obj` has the
-    same form, with minus the objective constant in `obj_rhs`.
+    The reduced-cost row `obj` has the same form, with minus the objective
+    constant in `obj_rhs`.
+
+    Columns are numbered: the `dim` variables of the LP first solved (column
+    j is variable j), then one slack per ineq row, then the artificials,
+    the range `barred`, then the variables appended since, so variable
+    v >= dim is column v + barred.stop - dim.  Constraint row i was negated
+    when `sign[i]` is -1, to make its rhs nonnegative; `ident[i]` is the
+    column that began as its identity column: the slack of an inequality
+    with nonnegative rhs, else the row's artificial.  Those columns carry
+    the inverse of the basis, which is how `extend` prices a new column.
+    Only the artificials are barred from entering in phase 2.
     """
 
-    def __init__(self, rows, rhs, den, basis):
+    def __init__(self, lp, rows, rhs, den, basis, sign, barred):
+        self.lp: LinearProgram = lp
         self.rows: list[dict] = rows
         self.rhs: list[int] = rhs
         self.den: list[int] = den
         self.basis: list[int] = basis
+        self.ident: list[int] = list(basis)
+        self.sign: list[int] = sign
+        self.dim: int = lp.dim()
+        self.barred: range = barred
         self.obj: dict = {}
         self.obj_rhs = 0
         self.obj_den = 1
+        self.pivots = 0
+
+    def copy(self) -> "_Tableau":
+        """A copy with its own basis and pivot count.  The row maps are
+        shared: a pivot replaces the maps it changes and edits none."""
+        new = shallow_copy(self)
+        new.rows, new.rhs, new.den = list(self.rows), list(self.rhs), list(self.den)
+        new.basis = list(self.basis)
+        new.pivots = 0
+        return new
+
+    def column(self, v: int) -> int:
+        return v if v < self.dim else v + self.barred.stop - self.dim
 
     def set_objective(self, coeffs: dict) -> None:
         """Reduced costs of the objective {column: rational}: start from the
@@ -276,6 +349,58 @@ class _Tableau:
                 obj, obj_rhs, obj_den = _eliminate(
                     obj, obj_rhs, obj_den, self.rows[r], self.rhs[r], b)
         self.obj, self.obj_rhs, self.obj_den = obj, obj_rhs, obj_den
+
+    def extend(self, lp: LinearProgram) -> None:
+        """Append the variables by which `lp` extends this tableau's LP, as
+        nonbasic columns; `lp` becomes the tableau's LP.
+
+        A new variable with coefficients a_i has the column
+        sum_i sign[i] * a_i * (column ident[i]), which is B^-1 times its
+        normalized coefficients, and the reduced cost
+        c + sum_i sign[i] * a_i * (reduced cost of ident[i]).  An `lp` that
+        does not extend the LP is refused with an `InputError`.
+        """
+        old = self.lp
+        old_dim, dim = old.dim(), lp.dim()
+        objective = _split(dict(enumerate(lp.objective)), dim)
+        if (len(lp.eq_constraints) != len(old.eq_constraints)
+                or len(lp.ineq_constraints) != len(old.ineq_constraints)
+                or dim < old_dim
+                or tuple(lp.objective[:old_dim]) != tuple(old.objective)):
+            raise InputError("the LP does not extend the start's LP: it needs "
+                             "the same rows and objective and no fewer variables")
+        added = {v: {} for v in range(old_dim, dim)}  # v -> {row: sign * coefficient}
+        rows = zip((*lp.eq_constraints, *lp.ineq_constraints),
+                   (*old.eq_constraints, *old.ineq_constraints))
+        for i, ((row, b), (old_row, old_b)) in enumerate(rows):
+            coefs = _split(row, dim)
+            if (_rational(b) != old_b
+                    or {k: c for k, c in coefs.items() if k < old_dim}
+                    != {k: c for k, c in old_row.items() if c}):
+                raise InputError(f"the LP does not extend the start's LP: row "
+                                 f"{i} changes its rhs or an old coefficient")
+            for k, c in coefs.items():
+                if k >= old_dim:
+                    added[k][i] = self.sign[i] * c
+        self.lp = lp
+        # inverse[i]: the (row, entry) pairs of column ident[i]
+        inverse = [[(r, row[c]) for r, row in enumerate(self.rows) if c in row]
+                   for c in self.ident]
+        entries = [{} for _ in self.rows]  # row -> {column: entry times den}
+        costs = {}
+        for v, coefs in added.items():
+            col = self.column(v)
+            cost = objective.get(v, 0) * self.obj_den
+            for i, a in coefs.items():
+                for r, x in inverse[i]:
+                    entries[r][col] = entries[r].get(col, 0) + a * x
+                cost += a * self.obj.get(self.ident[i], 0)
+            costs[col] = cost
+        for r, new in enumerate(entries):
+            self.rows[r], self.rhs[r], self.den[r] = _appended(
+                self.rows[r], self.rhs[r], self.den[r], new)
+        self.obj, self.obj_rhs, self.obj_den = _appended(
+            self.obj, self.obj_rhs, self.obj_den, costs)
 
     def pivot(self, r: int, c: int) -> None:
         """Make column c basic in row r.  Only the rows with an entry in
@@ -294,9 +419,21 @@ class _Tableau:
             self.obj, self.obj_rhs, self.obj_den = _eliminate(
                 self.obj, self.obj_rhs, self.obj_den, prow, prhs, c)
         self.basis[r] = c
+        self.pivots += 1
 
-    def run(self, n_allowed: int) -> str:
-        """Maximize until no column below n_allowed has positive reduced
+    def drive_out(self) -> None:
+        """Pivot each zero-valued basic artificial out on the first column
+        of its row that may enter.  A redundant row has none and keeps its
+        artificial basic, which is harmless once the artificials are barred
+        from entering: no pivot on an allowed column changes the row."""
+        for r in range(len(self.rows)):
+            if self.basis[r] in self.barred and self.rhs[r] == 0:
+                j = min((k for k in self.rows[r] if k not in self.barred), default=None)
+                if j is not None:
+                    self.pivot(r, j)
+
+    def run(self, barred: range) -> str:
+        """Maximize until no column outside `barred` has positive reduced
         cost.
 
         Bland's rule: entering column is the smallest-index one with
@@ -306,7 +443,7 @@ class _Tableau:
         """
         while True:
             enter = min((j for j, v in self.obj.items()
-                         if v > 0 and j < n_allowed), default=None)
+                         if v > 0 and j not in barred), default=None)
             if enter is None:
                 return "optimal"
             leave = None
@@ -329,7 +466,45 @@ class _Tableau:
         return Fraction(self.obj.get(c, 0), self.obj_den)
 
 
-def solve_lp(lp: LinearProgram) -> LPResult:
+def _initial_tableau(lp: LinearProgram) -> _Tableau:
+    """The tableau of `lp` at its first basis: each row scaled to ints, with
+    its rhs made nonnegative, and its slack basic where that has coefficient
+    +1, else a new artificial."""
+    dim = lp.dim()
+    n_eq, nslack = len(lp.eq_constraints), len(lp.ineq_constraints)
+    # equalities first, then inequalities, whose slack columns follow the
+    # variable columns
+    art_base = dim + nslack
+    rows, rhs, den, basis, sign = [], [], [], [], []
+    nart = 0
+    for i, (row, b) in enumerate((*lp.eq_constraints, *lp.ineq_constraints)):
+        coefs = _split(row, dim)
+        ints, scale = int_scaled([*coefs.values(), _rational(b)])
+        irow = dict(zip(coefs, ints))  # zip leaves out the rhs, ints[-1]
+        irhs = ints[-1]
+        slack = dim + i - n_eq if i >= n_eq else None
+        if slack is not None:
+            irow[slack] = scale
+        # normalize rhs >= 0 (negating the whole slack-augmented equation)
+        s = -1 if irhs < 0 else 1
+        if s < 0:
+            irow = {j: -v for j, v in irow.items()}
+            irhs = -irhs
+        sign.append(s)
+        if slack is not None and s > 0:
+            basis.append(slack)
+        else:
+            irow[art_base + nart] = scale
+            basis.append(art_base + nart)
+            nart += 1
+        irow, irhs, d = _reduce(irow, irhs, scale)
+        rows.append(irow)
+        rhs.append(irhs)
+        den.append(d)
+    return _Tableau(lp, rows, rhs, den, basis, sign, range(art_base, art_base + nart))
+
+
+def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
     """Exact optimum of `lp`; deterministic for fixed input.
 
     When the LP is optimal, the witness satisfies every constraint exactly
@@ -338,102 +513,60 @@ def solve_lp(lp: LinearProgram) -> LPResult:
     not a map, a row naming a variable outside 0..dim-1, and an objective,
     coefficient or rhs entry that is not an int or a `Fraction` are
     refused with an `InputError`.
+
+    With `start`, an optimal result of this function for an LP that `lp`
+    extends by appended variables, the solve resumes from the start's
+    final tableau: the new variables join as nonbasic columns and only
+    phase 2 runs.  `lp` extends the start's LP when it has the same rows
+    and rhs, and the same objective and coefficients on the old variables.
+    The start is copied, never changed, so it can be resumed again.  A
+    start that is not an optimal result carrying its tableau, and an `lp`
+    that does not extend its LP, are refused with an `InputError` before
+    any pivot.  Without `start`, both phases run from the first basis.
     """
-    dim = lp.dim()
-    n_eq, nslack = len(lp.eq_constraints), len(lp.ineq_constraints)
-    constraints = list(lp.eq_constraints) + list(lp.ineq_constraints)
-
-    def rational(x):
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return x
-        raise InputError(f"LP entry {x!r} is not an int or a Fraction")
-
-    def split(row) -> dict:
-        """The nonzero entries of a sparse row {variable: coefficient}."""
-        if not isinstance(row, Mapping):
-            raise InputError(f"constraint row is a {type(row).__name__}, "
-                             "not a map {variable: coefficient}")
-        out = {}
-        for i, c in row.items():
-            if not (isinstance(i, int) and 0 <= i < dim):
-                raise InputError(f"constraint row names variable {i!r}, "
-                                 f"outside 0..{dim - 1}")
-            if rational(c):
-                out[i] = c
-        return out
-
-    objective = split(dict(enumerate(lp.objective)))
-    # rows are scaled to ints: equalities first, then inequalities, whose
-    # slack columns follow the variable columns
-    art_base = dim + nslack
-    rows, rhs, den, basis = [], [], [], []
-    row_sign = []
-    art_col_of_row = {}
-    for i, (row, b) in enumerate(constraints):
-        coefs = split(row)
-        ints, scale = int_scaled([*coefs.values(), rational(b)])
-        irow = dict(zip(coefs, ints))  # zip leaves out the rhs, ints[-1]
-        irhs = ints[-1]
-        slack = dim + i - n_eq if i >= n_eq else None
-        if slack is not None:
-            irow[slack] = scale
-        # normalize rhs >= 0 (negating the whole slack-augmented equation)
-        sign = -1 if irhs < 0 else 1
-        if sign < 0:
-            irow = {j: -v for j, v in irow.items()}
-            irhs = -irhs
-        row_sign.append(sign)
-        # initial basis: slack where it has coefficient +1, else artificial
-        if slack is not None and sign > 0:
-            basis.append(slack)
-        else:
-            art = art_base + len(art_col_of_row)
-            art_col_of_row[i] = art
-            irow[art] = scale
-            basis.append(art)
-        irow, irhs, d = _reduce(irow, irhs, scale)
-        rows.append(irow)
-        rhs.append(irhs)
-        den.append(d)
-
-    tab = _Tableau(rows, rhs, den, basis)
-    ncols = art_base + len(art_col_of_row)
-
-    if art_col_of_row:
-        # phase 1: maximize -sum(artificials)
-        tab.set_objective({c: -1 for c in art_col_of_row.values()})
-        status = tab.run(ncols)
-        if status != "optimal" or tab.obj_rhs != 0:
-            return LPResult(status="infeasible")
-        # drive artificials out of the basis where possible; redundant rows
-        # keep a zero-valued artificial basic, which is harmless once the
-        # artificial columns are barred from re-entering
-        for r in range(len(tab.rows)):
-            if tab.basis[r] >= art_base and tab.rhs[r] == 0:
-                j = min((k for k in tab.rows[r] if k < art_base), default=None)
-                if j is not None:
-                    tab.pivot(r, j)
-
-    tab.set_objective(objective)
-    status = tab.run(art_base)
+    if start is None:
+        objective = _split(dict(enumerate(lp.objective)), lp.dim())
+        tab = _initial_tableau(lp)
+        if tab.barred:
+            # phase 1: maximize -sum(artificials)
+            tab.set_objective({c: -1 for c in tab.barred})
+            status = tab.run(range(0))
+            if status != "optimal" or tab.obj_rhs != 0:
+                return LPResult(status="infeasible", phase1_pivots=tab.pivots)
+            tab.drive_out()
+        phase1 = tab.pivots
+        tab.set_objective(objective)
+    else:
+        if getattr(start, "status", None) != "optimal" or getattr(start, "tableau", None) is None:
+            raise InputError("a start must be an optimal result of solve_lp, "
+                             "carrying its tableau")
+        tab = start.tableau.copy()
+        tab.extend(lp)
+        # an appended column can break a row's redundancy
+        tab.drive_out()
+        phase1 = 0
+    status = tab.run(tab.barred)
     if status == "unbounded":
-        return LPResult(status="unbounded")
+        return LPResult(status="unbounded", phase1_pivots=phase1,
+                        phase2_pivots=tab.pivots - phase1)
 
-    values = [Fraction(0)] * ncols
-    for r, b in enumerate(tab.basis):
-        values[b] = tab.value_of(r)
-    witness = tuple(values[:dim])
+    values = {b: tab.value_of(r) for r, b in enumerate(tab.basis)}
+    witness = tuple(values.get(tab.column(v), Fraction(0)) for v in range(lp.dim()))
     value = sum(c * w for c, w in zip(lp.objective, witness))
 
     # duals: the reduced cost of a slack column is -y for its (stored) row,
     # and the slack sign flip cancels the row sign flip, so an ineq dual is
     # always -obj[slack].  Equality duals read off the artificial column,
     # which was attached after normalization, so the row sign reappears.
-    eq_duals = tuple(-row_sign[i] * tab.reduced_cost(art_col_of_row[i])
+    n_eq = len(lp.eq_constraints)
+    eq_duals = tuple(-tab.sign[i] * tab.reduced_cost(tab.ident[i])
                      for i in range(n_eq))
-    ineq_duals = tuple(-tab.reduced_cost(dim + k) for k in range(nslack))
+    ineq_duals = tuple(-tab.reduced_cost(tab.dim + k)
+                       for k in range(len(lp.ineq_constraints)))
     return LPResult(status="optimal", value=value, witness=witness,
-                    eq_duals=eq_duals, ineq_duals=ineq_duals)
+                    eq_duals=eq_duals, ineq_duals=ineq_duals,
+                    phase1_pivots=phase1, phase2_pivots=tab.pivots - phase1,
+                    tableau=tab)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ GOLDEN = [
     (J + ("compute", "a b a^-1 b^-1"),
      "b9f4be4468c2871c427c84c15b5d9a795d117585d5a284e408008a88df1bf261"),
     (J + ("compute", "a^-3 b^-1 a b a b^-1 a b", "--bound", "3", "--no-stabilize"),
-     "5df608e9c1dacf5cf515c4c2f1823c4ba3a6df44ad531058e0ea40494a94338d"),
+     "dfc951705a6a554c2649359f06a11321fd5141a8aac55a3eb21655b5450ed464"),
     (J + ("compute", "a^-4 b^-1 a b a^2 b^-1 a b"),
-     "f23dade1b49b2f7baaed74df7678aa2479580a6756a3bb2cc62b0253595bb12d"),
+     "93e820295773b87629bc58a22a6922c2648a26d34788dd7375b3df7d3f6a05b3"),
     (J + ("universal", "4", "--compute"),
      "331691f0aa872c3a188812fb12fafaf15376f75bfe7a5426b99befbe7543e872"),
     (J + ("generic", "5", "--compute", "--seed", "3"),

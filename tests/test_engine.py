@@ -201,9 +201,9 @@ def test_unstabilized_scl_solves_only_at_its_bound(monkeypatch):
             bounds.append(yielded[0])
             yield yielded
 
-    def recording_solve(lp):
+    def recording_solve(lp, start=None):
         solved.append(lp)
-        return solve(lp)
+        return solve(lp, start=start)
 
     monkeypatch.setattr(engine, "_solve_packing", recording_packing)
     monkeypatch.setattr(engine, "solve_lp", recording_solve)
@@ -227,14 +227,39 @@ def test_stabilized_scl_solves_no_column_set_twice(monkeypatch):
     dims = []
     solve = engine.solve_lp
 
-    def recording_solve(lp):
+    def recording_solve(lp, start=None):
         dims.append(lp.dim())
-        return solve(lp)
+        return solve(lp, start=start)
 
     monkeypatch.setattr(engine, "solve_lp", recording_solve)
     res = scl(parse_word("a^-4 b^-1 a b a^2 b^-1 a b"), bound=3)
     assert (res.value, res.status, res.bound_used) == (F(3, 4), "stabilized", 3)
     assert len(dims) > 1 and all(a < b for a, b in zip(dims, dims[1:]))
+
+
+def test_resumed_lps_skip_phase_1_and_pivot_less_than_cold_solves(monkeypatch):
+    # the (1,1,1) sweep word at bound 3 solves several LPs, each extending
+    # the last: only the first runs phase 1, and resuming costs fewer
+    # pivots in all than solving each LP from scratch
+    from sclflow import engine
+
+    solved = []
+    solve = engine.solve_lp
+
+    def recording_solve(lp, start=None):
+        res = solve(lp, start=start)
+        solved.append((lp, start, res))
+        return res
+
+    monkeypatch.setattr(engine, "solve_lp", recording_solve)
+    scl(parse_word("a^-3 b^-1 a b a b^-1 a b"), bound=3, stabilize=False)
+    assert len(solved) > 1 and solved[0][1] is None
+    assert all(start is res for (_, _, res), (_, start, _) in zip(solved, solved[1:]))
+    assert all(res.phase1_pivots == 0 for _, _, res in solved[1:])
+    resumed = sum(res.phase1_pivots + res.phase2_pivots for _, _, res in solved)
+    cold = sum(r.phase1_pivots + r.phase2_pivots
+               for r in (solve(lp) for lp, _, _ in solved))
+    assert resumed < cold
 
 
 def test_a_shared_run_yields_the_value_of_every_bound(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sclflow.errors import InputError, LimitExceeded
 from sclflow.linprog import (
     LinearProgram,
+    LPResult,
     enumerate_vertices,
     make_lp,
     rat_from_json,
@@ -89,6 +90,63 @@ def test_degenerate_empty_objective():
     assert res.status == "optimal"
     assert res.value == 0
     assert res.witness == (F(0), F(0))
+
+
+# max x + y with x + y <= 2 and x <= 1, then the same with a third
+# variable z of objective 3 in both rows, which must enter
+BASE = make_lp([1, 1], eq=[([1, 1], 2)], ineq=[([1, 0], 1)])
+EXTENDED = make_lp([1, 1, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 0, 1], 1)])
+
+
+def test_a_resumed_solve_reaches_the_cold_optimum_in_phase_2():
+    start = solve_lp(BASE)
+    res, cold = solve_lp(EXTENDED, start=start), solve_lp(EXTENDED)
+    assert (res.value, res.witness) == (cold.value, cold.witness) == (4, (0, 1, 1))
+    assert (res.eq_duals, res.ineq_duals) == (cold.eq_duals, cold.ineq_duals)
+    assert start.phase1_pivots > 0 and res.phase1_pivots == 0
+    assert 0 < res.phase2_pivots < cold.phase1_pivots + cold.phase2_pivots
+
+
+def test_resuming_twice_from_one_start_gives_equal_results():
+    start = solve_lp(BASE)
+    first = solve_lp(EXTENDED, start=start)
+    second = solve_lp(EXTENDED, start=start)
+    assert first == second and first.phase2_pivots > 0
+    assert first.tableau is not second.tableau is not start.tableau
+
+
+@pytest.mark.parametrize("start", [
+    lambda: solve_lp(make_lp([1], ineq=[([1], -1)])),
+    lambda: solve_lp(make_lp([1])),
+    lambda: LPResult("optimal", F(2), (F(1), F(1)), (F(1),), (F(0),)),
+    lambda: "optimal",
+], ids=["infeasible", "unbounded", "no tableau", "not a result"])
+def test_solve_lp_refuses_a_start_that_is_not_an_optimum_with_its_tableau(start):
+    with pytest.raises(InputError, match="optimal result"):
+        solve_lp(EXTENDED, start=start())
+
+
+@pytest.mark.parametrize("lp", [
+    make_lp([1, 1, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 0, 1], 1), ([0, 1, 0], 1)]),
+    make_lp([1, 1, 3], ineq=[([1, 1, 1], 2), ([1, 0, 1], 1)]),
+    make_lp([1, 1, 3], eq=[([1, 1, 1], 3)], ineq=[([1, 0, 1], 1)]),
+    make_lp([1, 2, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 0, 1], 1)]),
+    make_lp([1, 1, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 1, 1], 1)]),
+    make_lp([1], eq=[([1], 2)], ineq=[([1], 1)]),
+], ids=["row count", "row kind", "rhs", "objective", "coefficient", "fewer variables"])
+def test_solve_lp_refuses_an_lp_that_does_not_extend_the_start(lp):
+    with pytest.raises(InputError, match="does not extend"):
+        solve_lp(lp, start=solve_lp(BASE))
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_a_new_column_in_a_redundant_row_drives_its_artificial_out(row):
+    # x = 1 twice keeps one artificial basic at zero; y joins one of the
+    # two rows, so the pair forces y = 0 however large its objective
+    start = solve_lp(make_lp([0], eq=[([1], 1), ([1], 1)]))
+    eq = [([1, int(r == row)], 1) for r in range(2)]
+    res = solve_lp(make_lp([0, 1], eq=eq), start=start)
+    assert (res.status, res.value, res.witness) == ("optimal", 0, (1, 0))
 
 
 def test_vertices_unit_square():

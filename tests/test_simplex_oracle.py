@@ -1,7 +1,9 @@
 """The sparse integer simplex against the dense Fraction reference.
 
-Both follow Bland's rule, so they pivot in the same order and must agree
-exactly on status, value, witness and duals, not just on the optimum.
+Both follow Bland's rule and number their columns alike, so they pivot in
+the same order and must agree exactly on status, value, witness and duals,
+not just on the optimum, whether an LP is solved cold or resumed from the
+optimum of an LP it extends.
 """
 
 import random
@@ -15,20 +17,23 @@ from sclflow import clear_caches, engine
 from sclflow.bounds import universal_word
 from sclflow.cones import cone_spec, enumerate_disc_vectors
 from sclflow.engine import scl
-from sclflow.linprog import make_lp, solve_lp
+from sclflow.linprog import LinearProgram, make_lp, solve_lp
 from sclflow.words import parse_word
 
 F = Fraction
 
 
-def assert_same(lp):
-    got, want = solve_lp(lp), solve_lp_dense(lp)
+def assert_same(lp, start=None):
+    """The results of both simplices on `lp`, each resumed from its own
+    result in `start`, a pair returned here, when one is given."""
+    got = solve_lp(lp, start=None if start is None else start[0])
+    want = solve_lp_dense(lp, start=None if start is None else start[1])
     assert got.status == want.status
     assert got.value == want.value
     assert got.witness == want.witness
     assert got.eq_duals == want.eq_duals
     assert got.ineq_duals == want.ineq_duals
-    return got
+    return got, want
 
 
 def _coef(rng, frac):
@@ -81,8 +86,8 @@ def test_seeded_redundant_equalities_drive_out():
     rng = random.Random(14)
     statuses = set()
     for _ in range(150):
-        res = assert_same(_random_lp(rng, frac=True, eqs=rng.randint(1, 3),
-                                     neg_rhs=True, redundant=True))
+        res, _ = assert_same(_random_lp(rng, frac=True, eqs=rng.randint(1, 3),
+                                        neg_rhs=True, redundant=True))
         statuses.add(res.status)
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
@@ -91,7 +96,7 @@ def test_redundant_equality_keeps_artificial_basic():
     # x + y = 2 twice, and x - y = 0: one row is redundant
     lp = make_lp([1, 2], eq=[([1, 1], 2), ([2, 2], 4), ([1, -1], 0)],
                  ineq=[([1, 0], 5)])
-    res = assert_same(lp)
+    res, _ = assert_same(lp)
     assert res.status == "optimal" and res.witness == (F(1), F(1))
 
 
@@ -100,8 +105,50 @@ def test_redundant_equality_keeps_artificial_basic():
        st.booleans(), st.booleans())
 def test_random_lps_match_reference(seed, frac, eqs, neg_rhs, redundant):
     rng = random.Random(seed)
-    assert_same(_random_lp(rng, frac=frac, eqs=eqs, neg_rhs=neg_rhs,
-                           redundant=redundant))
+    lp = _random_lp(rng, frac=frac, eqs=eqs, neg_rhs=neg_rhs,
+                    redundant=redundant)
+    assert_same(lp)
+    assert_resumed_chain(rng, lp)
+
+
+def _first_variables(lp, k):
+    """The LP on the first k variables of `lp`, which `lp` extends."""
+    def cut(constraints):
+        return tuple(({j: c for j, c in row.items() if j < k}, b)
+                     for row, b in constraints)
+    return LinearProgram(lp.objective[:k], cut(lp.eq_constraints),
+                         cut(lp.ineq_constraints))
+
+
+def assert_resumed_chain(rng, lp):
+    """Reach `lp` from a start on its first variables through one or two
+    extensions, each resumed from the last optimum; every resumed LP has
+    the value and status of its cold solve.  Returns the resumed
+    statuses."""
+    dim = lp.dim()
+    cuts = sorted(rng.sample(range(dim), min(rng.randint(1, 2), dim)))
+    pair = assert_same(_first_variables(lp, cuts[0]))
+    statuses = []
+    for k in cuts[1:] + [dim]:
+        if pair[0].status != "optimal":
+            break
+        step = _first_variables(lp, k)
+        pair = assert_same(step, start=pair)
+        cold = solve_lp(step)
+        assert (pair[0].status, pair[0].value) == (cold.status, cold.value)
+        assert pair[0].phase1_pivots == 0
+        statuses.append(pair[0].status)
+    return statuses
+
+
+def test_seeded_resumed_lps_match_reference():
+    rng = random.Random(15)
+    statuses = []
+    for _ in range(400):  # a start that is not optimal ends its chain
+        lp = _random_lp(rng, frac=True, eqs=rng.randint(0, 3), neg_rhs=True,
+                        redundant=True)
+        statuses += assert_resumed_chain(rng, lp)
+    assert len(statuses) > 100 and set(statuses) == {"optimal", "unbounded"}
 
 
 def _value_over_all_discs(word, bound):
@@ -142,10 +189,13 @@ def test_scl_lps_match_reference(monkeypatch):
     # rounds of integer pricing, which must reach the value of one LP over
     # every unthinned disc vector
     seen = []
+    pairs = {}  # id of a solve_lp result -> the pair assert_same returned
 
-    def checked(lp):
-        seen.append(lp.dim())
-        return assert_same(lp)
+    def checked(lp, start=None):
+        pair = assert_same(lp, None if start is None else pairs[id(start)])
+        pairs[id(pair[0])] = pair
+        seen.append(start is not None)
+        return pair[0]
 
     monkeypatch.setattr(engine, "solve_lp", checked)
     monkeypatch.setattr(engine, "_CG_BATCH", 3)
@@ -159,4 +209,5 @@ def test_scl_lps_match_reference(monkeypatch):
     finally:
         clear_caches()
     assert len(seen) - before > 2  # several column-generation rounds
+    assert not seen[before] and all(seen[before + 1:])  # resumed after the first
     assert got == _value_over_all_discs(sweep_word, 3)
