@@ -22,6 +22,7 @@ from .engine import DEFAULT_BOUND, conjecture_check, scl
 from .errors import InputError, InternalCheckError, LimitExceeded, SclflowError
 from .graphs import flow_from_json, flow_to_json, graph_from_json
 from .hardness import (
+    VARIANTS,
     build_table,
     collapse,
     decide_small_scl,
@@ -313,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="subset-sum reduction machinery", parents=[common])
     gsub = p.add_subparsers(dest="gadget_cmd", required=True)
     g = gsub.add_parser("subset", parents=[common])
-    g.add_argument("--variant", choices=("SS", "SSP", "VARSSP", "MIXEDSSP", "COSS"),
-                   default="SS")
+    g.add_argument("--variant", choices=VARIANTS, default="SS")
     g.add_argument("--values", required=True)
     g.set_defaults(fn=cmd_gadget_subset)
     g = gsub.add_parser("table", parents=[common])

@@ -19,7 +19,9 @@ cost under nonnegative integer entry costs reaches a budget, each row
 drawn from a list of candidates and the last row forced.  Without costs it
 lists every disc up to the bound (`enumerate_disc_vectors`); with the
 integer-scaled duals of a packing LP it is that LP's pricing oracle.
-Supports are tested for strong connectivity on int bitmasks of vertices.
+Supports are tested for strong connectivity by
+`graphs.support_strongly_connected`, on the one bitmask reachability
+search that also gives `graphs.connectivity` its component partitions.
 Nothing here is memoized.
 """
 
@@ -32,8 +34,8 @@ from math import gcd
 from operator import le, mul, sub
 from typing import Iterator, Optional, Sequence
 
-from .errors import InputError, InternalCheckError, LimitExceeded, as_int
-from .graphs import Flow, outflow_vector
+from .errors import InputError, LimitExceeded, as_int
+from .graphs import Flow, outflow_vector, support_strongly_connected
 from .words import ExponentMatrix, matrix, validate_Mn
 
 DISC_N_LIMIT = 8
@@ -81,47 +83,10 @@ def in_cone(spec: ConeSpec, f: Flow) -> bool:
         not any(_weights(spec, outflow_vector(f)))
 
 
-def _reach(nbrs: dict[int, int], start: int) -> int:
-    """Bitmask of the vertices reachable from the vertex bit `start` along
-    nbrs (vertex -> bitmask of its neighbours; missing keys have none)."""
-    seen = todo = start
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        new = nbrs.get(low.bit_length() - 1, 0) & ~seen
-        seen |= new
-        todo |= new
-    return seen
-
-
-def _support_strongly_connected(edges) -> bool:
-    """Strong connectivity of the digraph spanned by the support edges
-    (tail, head), on int bitmasks of vertices, with the flow fact that weak
-    connectivity suffices verified on the way."""
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
-    verts = 0
-    for t, h in edges:
-        succ[t] = succ.get(t, 0) | 1 << h
-        pred[h] = pred.get(h, 0) | 1 << t
-        verts |= 1 << t | 1 << h
-    if not verts:
-        return False
-    start = verts & -verts
-    if _reach(succ, start) == verts and _reach(pred, start) == verts:
-        return True
-    both = {v: succ.get(v, 0) | pred.get(v, 0) for v in succ.keys() | pred.keys()}
-    if _reach(both, start) == verts:
-        # a conserved flow's support cannot be weakly but not strongly
-        # connected; reaching this line would falsify that fact
-        raise InternalCheckError("flow support weakly but not strongly connected")
-    return False
-
-
 def is_disc_vector(spec: ConeSpec, f: Flow) -> bool:
     """Nonzero, integral, in the cone, with strongly connected support."""
     return (not f.is_zero() and f.is_integral() and in_cone(spec, f)
-            and _support_strongly_connected(f.support_edges()))
+            and support_strongly_connected(f.support_edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +175,7 @@ def priced_discs(spec: ConeSpec, bound: int, costs=None,
             if not any(o) or any(_weights(spec, o)):
                 continue
             for entries in _iter_tables(o, candidates, costs, budget):
-                if _support_strongly_connected(
+                if support_strongly_connected(
                         (i, j) for i, row in enumerate(entries)
                         for j, v in enumerate(row) if v):
                     yield Flow(n, entries)
@@ -382,7 +347,7 @@ def is_essential(spec: ConeSpec, d: Flow) -> bool:
     the finite set of proper nonzero subflows of d."""
     edges, caps = _disc_support(spec, d, "essentiality")
     for vals in iter_cone_members(spec, edges, caps):
-        if vals != caps and _support_strongly_connected(
+        if vals != caps and support_strongly_connected(
                 [e for e, v in zip(edges, vals) if v]):
             return False
     return True

@@ -177,7 +177,6 @@ class SclResult:
     status: str  # "stabilized" | "upper_bound"
     bound_used: int
     certificate: SclCertificate
-    word_blocks: int
 
     def to_json(self) -> dict:
         return {
@@ -250,8 +249,7 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
         v_a=v_a, v_b=pair_flow(v_a),
         side_a=SideDecomposition(*map(tuple, decomposed[0])),
         side_b=SideDecomposition(*map(tuple, decomposed[1])))
-    return SclResult(value=value, status=status, bound_used=b,
-                     certificate=cert, word_blocks=n)
+    return SclResult(value=value, status=status, bound_used=b, certificate=cert)
 
 
 def scl_bracket(w: Word, bound: int = DEFAULT_BOUND) -> tuple[Fraction, Fraction]:

@@ -7,8 +7,10 @@ digraph with n vertices (loops included, so an n x n matrix) satisfying
 conservation at every vertex.  `mdgraph` and `flow_from_json` refuse a
 non-integer where an integer belongs rather than truncate it.
 
-One search, `reachable`, gives the component partitions; `cones` tests
-the strong connectivity of flow supports on vertex bitmasks.
+One search, `_reach` on int bitmasks of vertices, answers every
+connectivity question: the strong and weak component partitions of
+`connectivity`, and `support_strongly_connected`, the test `cones` applies
+to the support of a disc vector.
 
 Abstraction works on one list of (edge, weight, flow) records, None for an
 absent attribute.  It repeatedly smooths subdivision vertices: a vertex
@@ -90,37 +92,41 @@ class Connectivity:
     reflexive: bool
 
 
-def reachable(adj, start) -> set:
-    """The vertices reachable from start, start included, along the
-    adjacency mapping adj (vertex -> successors; missing keys have none)."""
-    seen = {start}
-    todo = [start]
+def _reach(nbrs: dict[int, int], start: int) -> int:
+    """Bitmask of the vertices reachable from the vertex bit `start` along
+    nbrs (vertex -> bitmask of its neighbours; missing keys have none)."""
+    seen = todo = start
     while todo:
-        for w in adj.get(todo.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
+        low = todo & -todo
+        todo ^= low
+        new = nbrs.get(low.bit_length() - 1, 0) & ~seen
+        seen |= new
+        todo |= new
     return seen
 
 
 def connectivity(g: MDGraph) -> Connectivity:
     """Strong and weak component partitions; reflexive when they coincide.
 
-    The strong component of v is what v reaches intersected with what
-    reaches v, the weak component of v what v reaches in the undirected
-    graph; components are sorted.  One search per vertex: O(n (n + m)).
+    The strong component of v is what v reaches forward intersected with
+    what it reaches backward, the weak component of v what it reaches
+    along edges in either direction; components are sorted.  Three
+    searches per vertex: O(n (n + m)).
     """
     n = g.vertex_count
-    out_adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    und_adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
     for t, h in g.edges:
-        out_adj[t].append(h)
-        und_adj[t].append(h)
-        und_adj[h].append(t)
-    reach = [reachable(out_adj, v) for v in range(n)]
-    strong = tuple(sorted({tuple(w for w in sorted(reach[v]) if v in reach[w])
+        succ[t] = succ.get(t, 0) | 1 << h
+        pred[h] = pred.get(h, 0) | 1 << t
+    both = {v: succ.get(v, 0) | pred.get(v, 0) for v in succ.keys() | pred.keys()}
+
+    def members(mask: int) -> tuple[int, ...]:
+        return tuple(v for v in range(n) if mask >> v & 1)
+
+    strong = tuple(sorted({members(_reach(succ, 1 << v) & _reach(pred, 1 << v))
                            for v in range(n)}))
-    weak = tuple(sorted({tuple(sorted(reachable(und_adj, v))) for v in range(n)}))
+    weak = tuple(sorted({members(_reach(both, 1 << v)) for v in range(n)}))
     return Connectivity(
         strong_components=strong,
         weak_components=weak,
@@ -128,6 +134,30 @@ def connectivity(g: MDGraph) -> Connectivity:
         weakly_connected=len(weak) == 1,
         reflexive=strong == weak,
     )
+
+
+def support_strongly_connected(edges) -> bool:
+    """Strong connectivity of the digraph spanned by the support edges
+    (tail, head) of a conserved flow, with the flow fact that weak
+    connectivity suffices verified on the way."""
+    succ: dict[int, int] = {}
+    pred: dict[int, int] = {}
+    verts = 0
+    for t, h in edges:
+        succ[t] = succ.get(t, 0) | 1 << h
+        pred[h] = pred.get(h, 0) | 1 << t
+        verts |= 1 << t | 1 << h
+    if not verts:
+        return False
+    start = verts & -verts
+    if _reach(succ, start) == verts and _reach(pred, start) == verts:
+        return True
+    both = {v: succ.get(v, 0) | pred.get(v, 0) for v in succ.keys() | pred.keys()}
+    if _reach(both, start) == verts:
+        # a conserved flow's support cannot be weakly but not strongly
+        # connected; reaching this line would falsify that fact
+        raise InternalCheckError("flow support weakly but not strongly connected")
+    return False
 
 
 def _subdivision_vertex(n: int, edges) -> Optional[tuple[int, int, int]]:

@@ -41,8 +41,13 @@ VERTEX_DIM_LIMIT = 12
 
 
 def rat(x) -> Fraction:
-    """Coerce ints / strings / Fractions to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce ints / strings / Fractions to Fraction.  A float or a bool is
+    refused rather than read as the binary fraction or int it holds."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise InputError(f"{x!r} is a {type(x).__name__}, not an exact rational")
+    return Fraction(x)
 
 
 def rat_to_json(x: Fraction) -> dict:
@@ -552,7 +557,7 @@ def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
 
     values = {b: tab.value_of(r) for r, b in enumerate(tab.basis)}
     witness = tuple(values.get(tab.column(v), Fraction(0)) for v in range(lp.dim()))
-    value = sum(c * w for c, w in zip(lp.objective, witness))
+    value = sum((c * w for c, w in zip(lp.objective, witness)), Fraction(0))
 
     # duals: the reduced cost of a slack column is -y for its (stored) row,
     # and the slack sign flip cancels the row sign flip, so an ineq dual is

@@ -15,11 +15,22 @@ from itertools import product
 from typing import Iterator
 
 from sclflow.cones import ConeSpec
-from sclflow.graphs import Flow, reachable
+from sclflow.graphs import Flow
 
 
 def _weights(spec: ConeSpec, outflows) -> list[int]:
     return [sum(z * o for z, o in zip(row, outflows)) for row in spec.rows]
+
+
+def _reachable(adj, start) -> set:
+    """The vertices reachable from start along adj (vertex -> successors)."""
+    seen, todo = {start}, [start]
+    while todo:
+        for w in adj.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def _strongly_connected(edges) -> bool:
@@ -32,7 +43,7 @@ def _strongly_connected(edges) -> bool:
         return False
     verts = adj.keys() | radj.keys()
     start = next(iter(adj))
-    return verts <= reachable(adj, start) and verts <= reachable(radj, start)
+    return verts <= _reachable(adj, start) and verts <= _reachable(radj, start)
 
 
 def iter_tables(sums: tuple[int, ...], costs, budget: int

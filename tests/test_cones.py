@@ -9,7 +9,6 @@ from sclflow.cones import (
     DISC_BOUND_LIMIT,
     FLOW_EDGE_LIMIT,
     ConeSpec,
-    _support_strongly_connected,
     cone_spec,
     enumerate_disc_vectors,
     extremal_rays,
@@ -23,7 +22,7 @@ from sclflow.cones import (
     priced_discs,
     weight_vector,
 )
-from sclflow.errors import InputError, InternalCheckError, LimitExceeded
+from sclflow.errors import InputError, LimitExceeded
 from sclflow.graphs import (
     Flow,
     abstract_graph,
@@ -215,21 +214,6 @@ def test_priced_discs_refuses_bad_costs(costs, budget):
     # refused when called, before the first disc
     with pytest.raises(InputError):
         priced_discs(cone_spec(3, [[1, 1, -2]]), 2, costs, budget)
-
-
-def test_support_connectivity_checks_the_flow_fact():
-    assert _support_strongly_connected([(0, 1), (1, 2), (2, 0), (1, 1)])
-    assert not _support_strongly_connected([(0, 1), (1, 0), (2, 2)])
-    assert not _support_strongly_connected([])
-    assert _support_strongly_connected([(0, 3), (3, 0)])  # labels need not be 0..k
-    assert _support_strongly_connected([(2, 2)])
-    assert not _support_strongly_connected([(0, 0), (2, 2)])
-    # a cycle through the highest vertex a disc may have
-    top = cones.DISC_N_LIMIT - 1
-    assert _support_strongly_connected([(0, top), (top, 5), (5, 0)])
-    # weakly but not strongly connected: no conserved flow has this support
-    with pytest.raises(InternalCheckError):
-        _support_strongly_connected([(0, 1), (1, 0), (1, 2)])
 
 
 def test_is_essential_minimal_vector():

@@ -298,7 +298,7 @@ def test_certificate_with_a_forged_part_is_refused():
         side_a=SideDecomposition((F(10),), (cert.v_a.scale(F(1, 10)),)),
         side_b=SideDecomposition((F(10),), (cert.v_b.scale(F(1, 10)),)))
     claim = SclResult(value=F(-9), status=res.status, bound_used=res.bound_used,
-                      certificate=forged, word_blocks=w.n)
+                      certificate=forged)
     assert (w.n - forged.kappa_sum()) / 2 == -9
     assert not verify_certificate(claim, w)
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sclflow.errors import InputError, LimitExceeded
+from sclflow.cones import DISC_N_LIMIT
+from sclflow.errors import InputError, InternalCheckError, LimitExceeded
 from sclflow.graphs import (
     abstract_flow,
     abstract_graph,
@@ -20,6 +21,7 @@ from sclflow.graphs import (
     mdgraph,
     positive_flow,
     removable_edge,
+    support_strongly_connected,
     zero_flow,
 )
 
@@ -81,11 +83,18 @@ def closure_components(n, arcs):
 
 def test_connectivity_matches_transitive_closure():
     rng = random.Random(21)
+    cases = []
     for _ in range(300):
         n = rng.randint(1, 7)
         edges = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(0, 2 * n))]
         edges += edges[:rng.randint(0, 2)]  # parallel edges
+        cases.append((n, edges))
+    # no vertex, isolated vertices, loops, parallel edges
+    cases += [(0, []), (1, []), (3, []), (3, [(0, 1)]), (1, [(0, 0)]),
+              (3, [(1, 1)]), (3, [(0, 0), (1, 1), (2, 2)]), (2, [(0, 1), (0, 1)]),
+              (3, [(0, 1), (0, 1), (1, 0), (2, 2), (2, 2)])]
+    for n, edges in cases:
         conn = connectivity(mdgraph(n, edges))
         strong = closure_components(n, edges)
         weak = closure_components(n, edges + [(h, t) for t, h in edges])
@@ -94,6 +103,21 @@ def test_connectivity_matches_transitive_closure():
         assert conn.strongly_connected == (len(strong) == 1)
         assert conn.weakly_connected == (len(weak) == 1)
         assert conn.reflexive == (strong == weak)
+
+
+def test_support_connectivity_checks_the_flow_fact():
+    assert support_strongly_connected([(0, 1), (1, 2), (2, 0), (1, 1)])
+    assert not support_strongly_connected([(0, 1), (1, 0), (2, 2)])
+    assert not support_strongly_connected([])
+    assert support_strongly_connected([(0, 3), (3, 0)])  # labels need not be 0..k
+    assert support_strongly_connected([(2, 2)])
+    assert not support_strongly_connected([(0, 0), (2, 2)])
+    # a cycle through the highest vertex a disc may have
+    top = DISC_N_LIMIT - 1
+    assert support_strongly_connected([(0, top), (top, 5), (5, 0)])
+    # weakly but not strongly connected: no conserved flow has this support
+    with pytest.raises(InternalCheckError):
+        support_strongly_connected([(0, 1), (1, 0), (1, 2)])
 
 
 def test_flow_supports_are_reflexive():

@@ -92,6 +92,22 @@ def test_degenerate_empty_objective():
     assert res.witness == (F(0), F(0))
 
 
+def test_an_lp_without_variables_has_a_fraction_value():
+    res = solve_lp(LinearProgram((), ineq_constraints=(({}, 1),)))
+    assert res.status == "optimal"
+    assert res.value == 0 and type(res.value) is Fraction
+
+
+@pytest.mark.parametrize("objective, ineq", [
+    ([0.1], []), ([True], []), ([1], [([0.5], 1)]), ([1], [([1], False)]),
+], ids=["float", "bool", "row-float", "rhs-bool"])
+def test_make_lp_refuses_floats_and_bools(objective, ineq):
+    with pytest.raises(InputError, match="not an exact rational"):
+        make_lp(objective, ineq=ineq)
+    # ints, Fractions and strings are still read exactly
+    assert make_lp([1, F(1, 3), "1/2"]).objective == (1, F(1, 3), F(1, 2))
+
+
 # max x + y with x + y <= 2 and x <= 1, then the same with a third
 # variable z of objective 3 in both rows, which must enter
 BASE = make_lp([1, 1], eq=[([1, 1], 2)], ineq=[([1, 0], 1)])
@@ -165,6 +181,15 @@ def test_vertices_dimension_refusal():
         enumerate_vertices([([1] * 13, 1)], 13)
 
 
+@pytest.mark.parametrize("cons", [
+    [([1.5], 1)], [([1], 0.5)], [([True], 1)],
+], ids=["float", "rhs-float", "bool"])
+def test_enumerate_vertices_refuses_floats_and_bools(cons):
+    with pytest.raises(InputError, match="not an exact rational"):
+        enumerate_vertices(cons + [([-1], 0)], 1)
+    assert enumerate_vertices([(["3/2"], 1), ([-1], 0)], 1) == [(0,), (F(2, 3),)]
+
+
 def test_solve_square_exact_on_random_systems():
     rng = random.Random(913)
     for _ in range(60):
@@ -178,6 +203,15 @@ def test_solve_square_exact_on_random_systems():
             continue
         assert all(sum(a * x for a, x in zip(row, sol)) == b
                    for row, b in zip(mat, rhs))
+
+
+@pytest.mark.parametrize("mat, rhs", [
+    ([[1.5]], [1]), ([[1]], [0.25]), ([[True]], [1]),
+], ids=["float", "rhs-float", "bool"])
+def test_solve_square_refuses_floats_and_bools(mat, rhs):
+    with pytest.raises(InputError, match="not an exact rational"):
+        solve_square(mat, rhs)
+    assert solve_square([[2]], ["1/3"]) == (F(1, 6),)
 
 
 def test_solve_square_int_is_normalized():
