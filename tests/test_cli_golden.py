@@ -34,6 +34,8 @@ GOLDEN = [
      "553a57e82cb12275b897166c353e1527f4a0a67c19b619a07fa23e5b02def3ca"),
     (J + ("gadget", "reduce", "--values", "1,2,3,-5"),
      "c41dbff15eb5dd66be8c147f1b1e69fe30ecd2ff06cc675a41e43945a35be148"),
+    (J + ("gadget", "reduce", "--values", "2,-1,-1"),
+     "f2bf8d85e77705309effdf6c54f645600f87d8529e1ce4432caa3105f473d108"),
     (J + ("gadget", "subset", "--variant", "MIXEDSSP", "--values", "1,-1,3,-3"),
      "13d9a25e4cf7f7a19639b41b3516c5416d613c679ad8eec801352dab8db34079"),
     (J + ("verify", "--only", "1,4"),
@@ -62,6 +64,8 @@ GOLDEN = [
      "f66adb1edb5c2642e88e59472c2d11ad9785a0ed5a2efd4d4b6e75386a90c2ff"),
     (("gadget", "reduce", "--values", "1,2,3,-5"),
      "631b4787e93127ad24b809fead1d949f2beeed37382df9d366bb3ee6526140aa"),
+    (("gadget", "reduce", "--values", "2,-1,-1"),
+     "2acb3661a79a1c955db9911ff2bbd567ec8d210654f4c5a68c8fad68ea8fb2ec"),
     (("rays", "a b a b a b a^-3 b^-3"),
      "9cd08ea30beacad2c70f75f01650f7602111f27ee8a9ef8762d2841643fa4c12"),
     (("synth", "--graph", "{graph}"),
