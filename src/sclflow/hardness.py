@@ -11,7 +11,8 @@ Problem variants, over integer vectors of any fixed dimension:
 
 The chain SS -> SSP -> MIXEDSSP over vectors -> MIXEDSSP over integers ->
 threshold queries on scl of one-a-generator words is implemented end to
-end, each link checkable against brute force.
+end, with one decision per reduction step; `scl verify` criterion 7 and
+the tests check the steps against brute force.
 """
 
 from __future__ import annotations
@@ -391,7 +392,7 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
 @dataclass(frozen=True)
 class SmallSclDecision:
     answer: bool
-    route: str  # "precheck" | "jpair" | "lower-bound" | "brute"
+    route: str  # "precheck" | "jpair" | "lower-bound"
     detail: str
     certificate: Optional[JPairCertificate] = None
 
@@ -400,14 +401,15 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
     """Decide whether the one-a-generator word of xs has scl below n/2 - 1,
     which answers the weighted subset problem under the promise.
 
-    Zero entries and cyclically adjacent cancelling pairs are answered
-    directly (they witness a weighted solution of weight at most 2); after
-    that pre-check, a zero-sum set exists iff a J-pair certificate pushes
-    scl strictly below the threshold, while its absence forces the minimal
-    vanishing weight to n and the lower bound to meet the threshold.  A
-    list without a zero entry that does not sum to zero names no word and
-    is refused, and past the pre-check the subset search is limited to
-    SS_BRUTE_LIMIT entries.
+    Zero entries and, from three entries on, cyclically adjacent cancelling
+    pairs are answered directly (they witness a proper subset solution of
+    weight at most 2); after that pre-check, a zero-sum set exists iff a
+    J-pair certificate pushes scl strictly below the threshold, while its
+    absence forces the minimal vanishing weight to n and the lower bound
+    to meet the threshold (a lower one breaks the promise and raises
+    PromiseViolation).  A list without a zero entry that does not sum to
+    zero names no word and is refused, and past the pre-check the subset
+    search is limited to SS_BRUTE_LIMIT entries.
     """
     xs = tuple(map(as_int, xs))
     n = len(xs)
@@ -418,7 +420,8 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
             return SmallSclDecision(True, "precheck", f"entry {j} is zero")
     if sum(xs) != 0:
         raise InputError("exponents must sum to zero")
-    for k, k1 in cyclic_pairs(n):
+    # at n = 2 the cancelling pair is the whole list, not a proper subset
+    for k, k1 in cyclic_pairs(n) if n >= 3 else ():
         if xs[k] + xs[k1] == 0:
             return SmallSclDecision(
                 True, "precheck", f"adjacent entries {k},{k1} cancel")
@@ -491,10 +494,11 @@ class ReductionTranscript:
 
 def reduce_ss_to_smallscl(values: Sequence[int]) -> ReductionTranscript:
     """Decide SS on `values` by balancing, building one table per r,
-    collapsing to integers, and answering each mixed instance through the
-    scl threshold procedure (certificates) or, for longer inputs or broken
-    promises, the brute-force oracle.  The transcript records every
-    intermediate instance and the route taken."""
+    collapsing to integers, and answering each mixed instance by one
+    decision: `decide_small_scl` for at most SCL_PATH_MAX_M values, the
+    brute-force MIXEDSSP search past that, and the SSP search when the
+    promise breaks.  The transcript records every intermediate instance
+    and the route taken."""
     vals = tuple(map(as_int, values))
     if not vals:
         raise InputError("empty input")
@@ -502,41 +506,29 @@ def reduce_ss_to_smallscl(values: Sequence[int]) -> ReductionTranscript:
     transcript = ReductionTranscript(input_values=vals, balanced=balanced)
     n = balanced.n
     use_scl = len(vals) <= SCL_PATH_MAX_M
-    answer = False
     # witness weights come in complementary pairs {s, n-s}, so r beyond
     # n-2 is redundant once n >= 3; at n = 2 the single choice r = 1 stays
     r_top = max(n - 2, 1)
     for r in range(1, r_top + 1):
         table = build_table([v[0] for v in balanced.vectors], r)
         collapsed = collapse(table.columns, usage_bound=2 * n + 2)
-        promise_ok = True
-        route = "brute"
-        detail = ""
-        mixed = None
+        promise_ok, route, detail = True, "brute", "brute-force oracle"
         try:
-            mixed_inst = instance("MIXEDSSP", collapsed)
-            brute = solve_subset(mixed_inst)
+            if use_scl:
+                decision = decide_small_scl(collapsed)
+                mixed = decision.answer
+                route = f"smallscl/{decision.route}"
+                detail = decision.detail
+            else:
+                mixed = solve_subset(instance("MIXEDSSP", collapsed)).answer
         except PromiseViolation as exc:
             promise_ok = False
             transcript.notes.append(f"r={r}: {exc}")
-            brute = solve_subset(instance("SSP", collapsed))
-        if use_scl and promise_ok:
-            decision = decide_small_scl(collapsed)
-            mixed = decision.answer
-            route = f"smallscl/{decision.route}"
-            detail = decision.detail
-            if mixed != brute.answer:
-                raise InternalCheckError(
-                    f"scl procedure answered {mixed} but brute force says "
-                    f"{brute.answer} at r={r}")
-        else:
-            mixed = brute.answer
-            detail = "brute-force oracle"
+            mixed = solve_subset(instance("SSP", collapsed)).answer
         transcript.steps.append(ReductionStep(
             r=r, table=table, collapsed=collapsed, promise_ok=promise_ok,
             mixed_answer=mixed, route=route, detail=detail))
-        answer = answer or mixed
-    transcript.answer = answer
+    transcript.answer = any(s.mixed_answer for s in transcript.steps)
     return transcript
 
 

@@ -47,7 +47,10 @@ def rat(x) -> Fraction:
         return x
     if isinstance(x, (float, bool)):
         raise InputError(f"{x!r} is a {type(x).__name__}, not an exact rational")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"{x!r} is not an exact rational") from None
 
 
 def rat_to_json(x: Fraction) -> dict:

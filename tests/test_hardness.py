@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from sclflow import hardness
 from sclflow.cones import is_essential
 from sclflow.errors import InputError, LimitExceeded, PromiseViolation
 from sclflow.hardness import (
@@ -257,6 +258,19 @@ def test_decide_small_scl_routes():
     assert not d.answer and d.route == "lower-bound"
 
 
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_decide_small_scl_on_two_entries_matches_scl(a):
+    # the cancelling pair is the whole list, not a proper subset, and
+    # scl(a^a b a^-a b^-1) = 1/2 does not go below the threshold 0
+    from sclflow.engine import scl
+
+    xs = [a, -a]
+    d = decide_small_scl(xs)
+    value = scl(small_scl_instance(xs)).value
+    assert d.answer == (value < F(len(xs), 2) - 1)
+    assert not d.answer and d.route == "lower-bound"
+
+
 def test_decide_small_scl_refuses_a_list_that_does_not_sum_to_zero():
     # such a list names no word; past the precheck it would reach
     # cone_spec through a J-pair certificate and fail there
@@ -298,6 +312,54 @@ def test_reduction_driver_brute_route_for_long_inputs():
     transcript = reduce_ss_to_smallscl(vals)
     assert transcript.answer == brute_ss(vals)
     assert all(s.route == "brute" for s in transcript.steps)
+
+
+def test_scl_path_steps_match_the_mixed_brute_force_answer():
+    # the reduction answers each scl-path step by the threshold decision
+    # alone; the weighted and 0/1 searches must agree with it
+    checked = 0
+    for m in (1, 2, 3):
+        for vals in product(range(-2, 3), repeat=m):
+            for step in reduce_ss_to_smallscl(list(vals)).steps:
+                if step.route.startswith("smallscl/"):
+                    mixed = solve_subset(instance("MIXEDSSP", step.collapsed))
+                    assert step.mixed_answer == mixed.answer, (vals, step.r)
+                    checked += 1
+    assert checked
+
+
+def test_reduction_notes_a_broken_promise_and_answers_by_ssp(monkeypatch):
+    def broken(xs):
+        raise PromiseViolation("outside the promise")
+
+    monkeypatch.setattr(hardness, "decide_small_scl", broken)
+    transcript = reduce_ss_to_smallscl([2, -1, -1])
+    assert transcript.notes == ["r=1: outside the promise",
+                                "r=2: outside the promise"]
+    assert [(s.promise_ok, s.route, s.detail, s.mixed_answer)
+            for s in transcript.steps] == [
+        (False, "brute", "brute-force oracle", True),
+        (False, "brute", "brute-force oracle", False)]
+    assert transcript.answer
+
+
+def test_reduction_runs_one_decision_per_step(monkeypatch):
+    calls = {"binary": 0, "weighted": 0}
+
+    def counted(kind, search):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return search(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hardness, "_solve_binary",
+                        counted("binary", hardness._solve_binary))
+    monkeypatch.setattr(hardness, "_solve_varssp",
+                        counted("weighted", hardness._solve_varssp))
+    transcript = reduce_ss_to_smallscl([2, -1, -1])
+    assert [s.route for s in transcript.steps] == [
+        "smallscl/jpair", "smallscl/lower-bound"]
+    assert calls == {"binary": len(transcript.steps), "weighted": 0}
 
 
 def test_essential_gadget_structure():

@@ -190,6 +190,17 @@ def test_enumerate_vertices_refuses_floats_and_bools(cons):
     assert enumerate_vertices([(["3/2"], 1), ([-1], 0)], 1) == [(0,), (F(2, 3),)]
 
 
+@pytest.mark.parametrize("call, value", [
+    (lambda: make_lp(["x"]), "'x'"),
+    (lambda: make_lp([None]), "None"),
+    (lambda: make_lp([1], ineq=[([1], None)]), "None"),
+    (lambda: solve_square([["1/0"]], [1]), "'1/0'"),
+], ids=["string", "none", "rhs-none", "zero-denominator"])
+def test_unreadable_values_are_input_errors_naming_the_value(call, value):
+    with pytest.raises(InputError, match=f"^{value} is not an exact rational"):
+        call()
+
+
 def test_solve_square_exact_on_random_systems():
     rng = random.Random(913)
     for _ in range(60):
