@@ -76,7 +76,7 @@ from .hardness import (
     small_scl_instance,
     solve_subset,
 )
-from .linprog import LinearProgram, LPResult, enumerate_vertices, make_lp, solve_lp
+from .linprog import LinearProgram, LPResult, enumerate_vertices, make_lp, resume_lp, solve_lp
 from .synth import lemma_numbers, synthesize_extremal
 from .words import Word, make_word, parse_word, reduced_length, render_word
 

@@ -13,15 +13,14 @@ outflow at most one, and each round the pricing oracle
 `cones.priced_discs`, reading entry costs off the LP's duals, lists exactly
 the discs of positive reduced cost.  Once there are none, the optimum holds
 over every disc.  The LP at bound B restricts the LP at B+1, so one run
-serves every bound tried.  Each restricted LP extends the last one by its
-new columns, so the simplex resumes from the last optimum, which stays
-primal feasible, and runs phase 1 once per run.  Truncation to outflow
-bound B can only shrink the admissible decompositions, so the computed
-value is always an upper bound for scl.  It is reported as `stabilized`
-when it meets the combinatorial lower bound, or when two consecutive
-bounds agree.  Nothing on this path is memoized.  `conjecture_check` sets
-the computed value of a four-block family against its predicted closed
-form.
+serves every bound tried.  Each round appends its new columns to the last
+optimum, which stays primal feasible, through `resume_lp`, so a run builds
+one LP and runs phase 1 once.  Truncation to outflow bound B can only
+shrink the admissible decompositions, so the computed value is always an
+upper bound for scl.  It is reported as `stabilized` when it meets the
+combinatorial lower bound, or when two consecutive bounds agree.  Nothing
+on this path is memoized.  `conjecture_check` sets the computed value of a
+four-block family against its predicted closed form.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .bounds import lower_bound
 from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, priced_discs
 from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 from .graphs import Flow, flow_to_json
-from .linprog import LinearProgram, int_scaled, rat_to_json, solve_lp
+from .linprog import LinearProgram, int_scaled, rat_to_json, resume_lp, solve_lp
 from .words import Word, make_word
 
 SCL_N_LIMIT = 6
@@ -80,23 +79,20 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
     column in the LP has reduced cost <= 0 at its optimum.  Once none prices
     in at a bound, (bound, LPResult, (side, disc) columns in variable order)
     is yielded; the next bound prices against that optimum, so the yielded
-    `columns` list grows once the generator resumes.  Every LP after the
-    first only appends columns to the last, so `solve_lp` resumes from the
-    last result: phase 1 runs once, and each round and bound pivots on from
-    the last optimum.
+    `columns` list grows once the generator resumes.  `solve_lp` solves
+    the LP over the start columns once; every round after that appends its
+    columns to the last result through `resume_lp`, so phase 1 runs once,
+    and each round and bound pivots on from the last optimum.
     """
     res = None
+    n_eq = len(eq_rows)
 
-    def solve():
-        ineqs = [(dict(row), rhs) for row, rhs in capacity_rows]
-        for k, (side, d) in enumerate(columns, n_fixed):
-            first = sides[side][1]
-            for i, row in enumerate(d.entries):
-                for j, v in enumerate(row):
-                    if v:
-                        ineqs[first + i * d.n + j][0][k] = v
-        obj = (0,) * n_fixed + (1,) * len(columns)
-        return solve_lp(LinearProgram(obj, tuple(eq_rows), tuple(ineqs)), start=res)
+    def column(side, d):
+        """Objective 1 and the capacity rows of disc d of a side, numbered
+        after the eq rows as `resume_lp` numbers them."""
+        first = n_eq + sides[side][1]
+        return 1, {first + i * d.n + j: v for i, row in enumerate(d.entries)
+                   for j, v in enumerate(row) if v}
 
     for bound in bounds:
         for spec, _first in sides:
@@ -104,7 +100,12 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
         if res is None:
             columns = [(side, d) for side, (spec, _first) in enumerate(sides)
                        for d in priced_discs(spec, min(bound, 1))]
-            res = solve()
+            ineqs = [(dict(row), rhs) for row, rhs in capacity_rows]
+            for k, (side, d) in enumerate(columns, n_fixed):
+                for i, v in column(side, d)[1].items():
+                    ineqs[i - n_eq][0][k] = v
+            obj = (0,) * n_fixed + (1,) * len(columns)
+            res = solve_lp(LinearProgram(obj, tuple(eq_rows), tuple(ineqs)))
         while res.status == "optimal" and bound > 1:  # at 1 the start is every column
             duals, scale = int_scaled(res.ineq_duals)
             if any(y < 0 for y in duals):
@@ -122,8 +123,9 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
             if not priced:
                 break
             priced.sort(key=lambda p: p[:3])
-            columns.extend((side, d) for _c, side, _e, d in priced[:_CG_BATCH])
-            res = solve()
+            new = [(side, d) for _c, side, _e, d in priced[:_CG_BATCH]]
+            columns.extend(new)
+            res = resume_lp(res, [column(side, d) for side, d in new])
         yield bound, res, columns
 
 

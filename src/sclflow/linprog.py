@@ -12,11 +12,11 @@ is a map from column to nonzero int plus an int rhs over one positive int
 denominator, and pivots are fraction-free (Edmonds) eliminations that touch
 only the rows with an entry in the pivot column.  Its columns are the LP's
 variables (column j is variable j), then one slack per inequality, then the
-artificials, then the variables appended when a solve resumes from the
-optimum of an LP it extends; only the artificials are barred from entering
-phase 2.  A resumed solve runs phase 2 alone.  `solve_square_int` solves
-square integer systems fraction-free as well (Bareiss), and `int_scaled` is
-the one place rationals are brought to a common denominator.
+artificials, then the variables that `resume_lp` appends to an optimum;
+only the artificials are barred from entering phase 2.  A resumed solve
+runs phase 2 alone.  `solve_square_int` solves square integer systems
+fraction-free as well (Bareiss), and `int_scaled` is the one place
+rationals are brought to a common denominator.
 
 A brute-force vertex enumerator serves as an independent oracle for the
 simplex.
@@ -206,7 +206,7 @@ class LPResult:
     # and a resumed solve counts all of its pivots in phase 2
     phase1_pivots: int = 0
     phase2_pivots: int = 0
-    # an optimum's final tableau, which `solve_lp(lp, start=)` resumes from
+    # an optimum's final tableau, which `resume_lp` appends columns to
     tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
@@ -240,15 +240,15 @@ def _rational(x):
 
 
 def _split(row, dim: int) -> dict:
-    """The nonzero entries of a sparse row {variable: coefficient} over the
-    variables 0..dim-1."""
+    """The nonzero entries of a sparse map {index: coefficient} over 0..dim-1:
+    a constraint row over the variables or a column over the rows."""
     if not isinstance(row, Mapping):
-        raise InputError(f"constraint row is a {type(row).__name__}, "
-                         "not a map {variable: coefficient}")
+        raise InputError(f"sparse row or column is a {type(row).__name__}, "
+                         "not a map {index: coefficient}")
     out = {}
     for i, c in row.items():
         if not (isinstance(i, int) and 0 <= i < dim):
-            raise InputError(f"constraint row names variable {i!r}, "
+            raise InputError(f"sparse row or column names index {i!r}, "
                              f"outside 0..{dim - 1}")
         if _rational(c):
             out[i] = c
@@ -298,7 +298,8 @@ def _appended(row: dict, rhs: int, den: int,
 
 
 class _Tableau:
-    """Sparse fraction-free simplex tableau of the LP `lp`.
+    """Sparse fraction-free simplex tableau of an LP with the coefficients
+    `objective`, one per variable, and `n_eq` eq rows before its ineq rows.
 
     Row i stands for the equation sum_j rows[i][j] * x_j = rhs[i], divided
     through by den[i]: `rows[i]` maps a column to its nonzero int
@@ -319,15 +320,16 @@ class _Tableau:
     Only the artificials are barred from entering in phase 2.
     """
 
-    def __init__(self, lp, rows, rhs, den, basis, sign, barred):
-        self.lp: LinearProgram = lp
+    def __init__(self, objective, n_eq, rows, rhs, den, basis, sign, barred):
+        self.objective: list = objective
+        self.n_eq: int = n_eq
         self.rows: list[dict] = rows
         self.rhs: list[int] = rhs
         self.den: list[int] = den
         self.basis: list[int] = basis
         self.ident: list[int] = list(basis)
         self.sign: list[int] = sign
-        self.dim: int = lp.dim()
+        self.dim: int = len(objective)
         self.barred: range = barred
         self.obj: dict = {}
         self.obj_rhs = 0
@@ -335,9 +337,11 @@ class _Tableau:
         self.pivots = 0
 
     def copy(self) -> "_Tableau":
-        """A copy with its own basis and pivot count.  The row maps are
-        shared: a pivot replaces the maps it changes and edits none."""
+        """A copy with its own objective, basis and pivot count.  The row
+        maps are shared: a pivot replaces the maps it changes and edits
+        none."""
         new = shallow_copy(self)
+        new.objective = list(self.objective)
         new.rows, new.rhs, new.den = list(self.rows), list(self.rhs), list(self.den)
         new.basis = list(self.basis)
         new.pivots = 0
@@ -358,48 +362,29 @@ class _Tableau:
                     obj, obj_rhs, obj_den, self.rows[r], self.rhs[r], b)
         self.obj, self.obj_rhs, self.obj_den = obj, obj_rhs, obj_den
 
-    def extend(self, lp: LinearProgram) -> None:
-        """Append the variables by which `lp` extends this tableau's LP, as
-        nonbasic columns; `lp` becomes the tableau's LP.
+    def extend(self, columns) -> None:
+        """Append new variables as nonbasic columns, each given as
+        (objective coefficient, {constraint row: coefficient}) with the eq
+        rows numbered first; a malformed column is refused with an
+        `InputError` before the tableau changes.
 
-        A new variable with coefficients a_i has the column
-        sum_i sign[i] * a_i * (column ident[i]), which is B^-1 times its
-        normalized coefficients, and the reduced cost
-        c + sum_i sign[i] * a_i * (reduced cost of ident[i]).  An `lp` that
-        does not extend the LP is refused with an `InputError`.
+        A new variable with objective coefficient c and coefficients a_i
+        has the column sum_i sign[i] * a_i * (column ident[i]), which is
+        B^-1 times its normalized coefficients, and the reduced cost
+        c + sum_i sign[i] * a_i * (reduced cost of ident[i]).
         """
-        old = self.lp
-        old_dim, dim = old.dim(), lp.dim()
-        objective = _split(dict(enumerate(lp.objective)), dim)
-        if (len(lp.eq_constraints) != len(old.eq_constraints)
-                or len(lp.ineq_constraints) != len(old.ineq_constraints)
-                or dim < old_dim
-                or tuple(lp.objective[:old_dim]) != tuple(old.objective)):
-            raise InputError("the LP does not extend the start's LP: it needs "
-                             "the same rows and objective and no fewer variables")
-        added = {v: {} for v in range(old_dim, dim)}  # v -> {row: sign * coefficient}
-        rows = zip((*lp.eq_constraints, *lp.ineq_constraints),
-                   (*old.eq_constraints, *old.ineq_constraints))
-        for i, ((row, b), (old_row, old_b)) in enumerate(rows):
-            coefs = _split(row, dim)
-            if (_rational(b) != old_b
-                    or {k: c for k, c in coefs.items() if k < old_dim}
-                    != {k: c for k, c in old_row.items() if c}):
-                raise InputError(f"the LP does not extend the start's LP: row "
-                                 f"{i} changes its rhs or an old coefficient")
-            for k, c in coefs.items():
-                if k >= old_dim:
-                    added[k][i] = self.sign[i] * c
-        self.lp = lp
+        added = [(_rational(c), _split(coefs, len(self.rows))) for c, coefs in columns]
         # inverse[i]: the (row, entry) pairs of column ident[i]
         inverse = [[(r, row[c]) for r, row in enumerate(self.rows) if c in row]
                    for c in self.ident]
         entries = [{} for _ in self.rows]  # row -> {column: entry times den}
         costs = {}
-        for v, coefs in added.items():
-            col = self.column(v)
-            cost = objective.get(v, 0) * self.obj_den
+        for c, coefs in added:
+            col = self.column(len(self.objective))
+            self.objective.append(c)
+            cost = c * self.obj_den
             for i, a in coefs.items():
+                a *= self.sign[i]
                 for r, x in inverse[i]:
                     entries[r][col] = entries[r].get(col, 0) + a * x
                 cost += a * self.obj.get(self.ident[i], 0)
@@ -509,10 +494,11 @@ def _initial_tableau(lp: LinearProgram) -> _Tableau:
         rows.append(irow)
         rhs.append(irhs)
         den.append(d)
-    return _Tableau(lp, rows, rhs, den, basis, sign, range(art_base, art_base + nart))
+    return _Tableau([_rational(c) for c in lp.objective], n_eq, rows, rhs, den,
+                    basis, sign, range(art_base, art_base + nart))
 
 
-def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
+def solve_lp(lp: LinearProgram) -> LPResult:
     """Exact optimum of `lp`; deterministic for fixed input.
 
     When the LP is optimal, the witness satisfies every constraint exactly
@@ -520,57 +506,64 @@ def solve_lp(lp: LinearProgram, start: Optional[LPResult] = None) -> LPResult:
     returned as well (used for column pricing elsewhere).  A row that is
     not a map, a row naming a variable outside 0..dim-1, and an objective,
     coefficient or rhs entry that is not an int or a `Fraction` are
-    refused with an `InputError`.
-
-    With `start`, an optimal result of this function for an LP that `lp`
-    extends by appended variables, the solve resumes from the start's
-    final tableau: the new variables join as nonbasic columns and only
-    phase 2 runs.  `lp` extends the start's LP when it has the same rows
-    and rhs, and the same objective and coefficients on the old variables.
-    The start is copied, never changed, so it can be resumed again.  A
-    start that is not an optimal result carrying its tableau, and an `lp`
-    that does not extend its LP, are refused with an `InputError` before
-    any pivot.  Without `start`, both phases run from the first basis.
+    refused with an `InputError`.  Both phases run from the first basis;
+    `resume_lp` appends columns to an optimal result.
     """
-    if start is None:
-        objective = _split(dict(enumerate(lp.objective)), lp.dim())
-        tab = _initial_tableau(lp)
-        if tab.barred:
-            # phase 1: maximize -sum(artificials)
-            tab.set_objective({c: -1 for c in tab.barred})
-            status = tab.run(range(0))
-            if status != "optimal" or tab.obj_rhs != 0:
-                return LPResult(status="infeasible", phase1_pivots=tab.pivots)
-            tab.drive_out()
-        phase1 = tab.pivots
-        tab.set_objective(objective)
-    else:
-        if getattr(start, "status", None) != "optimal" or getattr(start, "tableau", None) is None:
-            raise InputError("a start must be an optimal result of solve_lp, "
-                             "carrying its tableau")
-        tab = start.tableau.copy()
-        tab.extend(lp)
-        # an appended column can break a row's redundancy
+    tab = _initial_tableau(lp)
+    if tab.barred:
+        # phase 1: maximize -sum(artificials)
+        tab.set_objective({c: -1 for c in tab.barred})
+        status = tab.run(range(0))
+        if status != "optimal" or tab.obj_rhs != 0:
+            return LPResult(status="infeasible", phase1_pivots=tab.pivots)
         tab.drive_out()
-        phase1 = 0
+    phase1 = tab.pivots
+    tab.set_objective(dict(enumerate(tab.objective)))
+    return _phase2(tab, phase1)
+
+
+def resume_lp(start: LPResult, columns) -> LPResult:
+    """Exact optimum of the LP of `start` with the `columns` appended as
+    new variables, by phase 2 alone from the start's final tableau.
+
+    Each column is (objective coefficient, {constraint row: coefficient}),
+    its rows numbered as the duals are: eq rows first, then ineq rows.  The
+    start must be an optimal result carrying its tableau; it is copied,
+    never changed.  Any other start, a column that is not a map, a row
+    outside 0..rows-1 and an entry that is not an int or a `Fraction` are
+    refused with an `InputError` before any pivot.
+    """
+    if getattr(start, "status", None) != "optimal" or getattr(start, "tableau", None) is None:
+        raise InputError("a start must be an optimal result of solve_lp, "
+                         "carrying its tableau")
+    tab = start.tableau.copy()
+    tab.extend(columns)
+    # an appended column can break a row's redundancy
+    tab.drive_out()
+    return _phase2(tab, 0)
+
+
+def _phase2(tab: _Tableau, phase1: int) -> LPResult:
+    """Phase 2 on a feasible tableau whose first `phase1` pivots were phase
+    1's, and the result it ends in."""
     status = tab.run(tab.barred)
     if status == "unbounded":
         return LPResult(status="unbounded", phase1_pivots=phase1,
                         phase2_pivots=tab.pivots - phase1)
 
     values = {b: tab.value_of(r) for r, b in enumerate(tab.basis)}
-    witness = tuple(values.get(tab.column(v), Fraction(0)) for v in range(lp.dim()))
-    value = sum((c * w for c, w in zip(lp.objective, witness)), Fraction(0))
+    witness = tuple(values.get(tab.column(v), Fraction(0))
+                    for v in range(len(tab.objective)))
+    value = sum((c * w for c, w in zip(tab.objective, witness)), Fraction(0))
 
     # duals: the reduced cost of a slack column is -y for its (stored) row,
     # and the slack sign flip cancels the row sign flip, so an ineq dual is
     # always -obj[slack].  Equality duals read off the artificial column,
     # which was attached after normalization, so the row sign reappears.
-    n_eq = len(lp.eq_constraints)
     eq_duals = tuple(-tab.sign[i] * tab.reduced_cost(tab.ident[i])
-                     for i in range(n_eq))
+                     for i in range(tab.n_eq))
     ineq_duals = tuple(-tab.reduced_cost(tab.dim + k)
-                       for k in range(len(lp.ineq_constraints)))
+                       for k in range(len(tab.rows) - tab.n_eq))
     return LPResult(status="optimal", value=value, witness=witness,
                     eq_duals=eq_duals, ineq_duals=ineq_duals,
                     phase1_pivots=phase1, phase2_pivots=tab.pivots - phase1,

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_simplex_oracle import _with_columns
 
 from sclflow.bounds import lower_bound, universal_word
 from sclflow.cones import cone_spec, in_cone
@@ -194,19 +195,24 @@ def test_unstabilized_scl_solves_only_at_its_bound(monkeypatch):
     from sclflow import engine
 
     bounds, solved = [], []
-    packing, solve = engine._solve_packing, engine.solve_lp
+    packing, solve, resume = engine._solve_packing, engine.solve_lp, engine.resume_lp
 
     def recording_packing(*args):
         for yielded in packing(*args):
             bounds.append(yielded[0])
             yield yielded
 
-    def recording_solve(lp, start=None):
+    def recording_solve(lp):
         solved.append(lp)
-        return solve(lp, start=start)
+        return solve(lp)
+
+    def recording_resume(start, columns):
+        solved.append(columns)
+        return resume(start, columns)
 
     monkeypatch.setattr(engine, "_solve_packing", recording_packing)
     monkeypatch.setattr(engine, "solve_lp", recording_solve)
+    monkeypatch.setattr(engine, "resume_lp", recording_resume)
     w = parse_word("a^-3 b^-1 a b a b^-1 a b")
     res = scl(w, bound=3, stabilize=False)
     assert (res.bound_used, res.status) == (3, "upper_bound")
@@ -225,33 +231,45 @@ def test_stabilized_scl_solves_no_column_set_twice(monkeypatch):
     from sclflow import engine
 
     dims = []
-    solve = engine.solve_lp
+    solve, resume = engine.solve_lp, engine.resume_lp
 
-    def recording_solve(lp, start=None):
+    def recording_solve(lp):
         dims.append(lp.dim())
-        return solve(lp, start=start)
+        return solve(lp)
+
+    def recording_resume(start, columns):
+        dims.append(len(start.witness) + len(columns))
+        return resume(start, columns)
 
     monkeypatch.setattr(engine, "solve_lp", recording_solve)
+    monkeypatch.setattr(engine, "resume_lp", recording_resume)
     res = scl(parse_word("a^-4 b^-1 a b a^2 b^-1 a b"), bound=3)
     assert (res.value, res.status, res.bound_used) == (F(3, 4), "stabilized", 3)
     assert len(dims) > 1 and all(a < b for a, b in zip(dims, dims[1:]))
 
 
 def test_resumed_lps_skip_phase_1_and_pivot_less_than_cold_solves(monkeypatch):
-    # the (1,1,1) sweep word at bound 3 solves several LPs, each extending
-    # the last: only the first runs phase 1, and resuming costs fewer
-    # pivots in all than solving each LP from scratch
+    # the (1,1,1) sweep word at bound 3 solves one LP, then appends columns
+    # to the last optimum several times: only the first solve runs phase 1,
+    # and resuming costs fewer pivots in all than solving each LP, the last
+    # one with the columns appended, from scratch
     from sclflow import engine
 
-    solved = []
-    solve = engine.solve_lp
+    solved = []  # (LP, start, result)
+    solve, resume = engine.solve_lp, engine.resume_lp
 
-    def recording_solve(lp, start=None):
-        res = solve(lp, start=start)
-        solved.append((lp, start, res))
+    def recording_solve(lp):
+        res = solve(lp)
+        solved.append((lp, None, res))
+        return res
+
+    def recording_resume(start, columns):
+        res = resume(start, columns)
+        solved.append((_with_columns(solved[-1][0], columns), start, res))
         return res
 
     monkeypatch.setattr(engine, "solve_lp", recording_solve)
+    monkeypatch.setattr(engine, "resume_lp", recording_resume)
     scl(parse_word("a^-3 b^-1 a b a b^-1 a b"), bound=3, stabilize=False)
     assert len(solved) > 1 and solved[0][1] is None
     assert all(start is res for (_, _, res), (_, start, _) in zip(solved, solved[1:]))

@@ -15,6 +15,7 @@ from sclflow.linprog import (
     make_lp,
     rat_from_json,
     rat_to_json,
+    resume_lp,
     rref,
     solve_lp,
     solve_square,
@@ -108,15 +109,16 @@ def test_make_lp_refuses_floats_and_bools(objective, ineq):
     assert make_lp([1, F(1, 3), "1/2"]).objective == (1, F(1, 3), F(1, 2))
 
 
-# max x + y with x + y <= 2 and x <= 1, then the same with a third
+# max x + y with x + y = 2 and x <= 1, then the same with a third
 # variable z of objective 3 in both rows, which must enter
 BASE = make_lp([1, 1], eq=[([1, 1], 2)], ineq=[([1, 0], 1)])
 EXTENDED = make_lp([1, 1, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 0, 1], 1)])
+Z = (3, {0: 1, 1: 1})  # z as a column: objective 3, 1 in rows 0 and 1
 
 
 def test_a_resumed_solve_reaches_the_cold_optimum_in_phase_2():
     start = solve_lp(BASE)
-    res, cold = solve_lp(EXTENDED, start=start), solve_lp(EXTENDED)
+    res, cold = resume_lp(start, [Z]), solve_lp(EXTENDED)
     assert (res.value, res.witness) == (cold.value, cold.witness) == (4, (0, 1, 1))
     assert (res.eq_duals, res.ineq_duals) == (cold.eq_duals, cold.ineq_duals)
     assert start.phase1_pivots > 0 and res.phase1_pivots == 0
@@ -125,8 +127,8 @@ def test_a_resumed_solve_reaches_the_cold_optimum_in_phase_2():
 
 def test_resuming_twice_from_one_start_gives_equal_results():
     start = solve_lp(BASE)
-    first = solve_lp(EXTENDED, start=start)
-    second = solve_lp(EXTENDED, start=start)
+    first = resume_lp(start, [Z])
+    second = resume_lp(start, [Z])
     assert first == second and first.phase2_pivots > 0
     assert first.tableau is not second.tableau is not start.tableau
 
@@ -138,21 +140,20 @@ def test_resuming_twice_from_one_start_gives_equal_results():
     lambda: "optimal",
 ], ids=["infeasible", "unbounded", "no tableau", "not a result"])
 def test_solve_lp_refuses_a_start_that_is_not_an_optimum_with_its_tableau(start):
+    # resume_lp is the entry that resumes a solve_lp result
     with pytest.raises(InputError, match="optimal result"):
-        solve_lp(EXTENDED, start=start())
+        resume_lp(start(), [Z])
 
 
-@pytest.mark.parametrize("lp", [
-    make_lp([1, 1, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 0, 1], 1), ([0, 1, 0], 1)]),
-    make_lp([1, 1, 3], ineq=[([1, 1, 1], 2), ([1, 0, 1], 1)]),
-    make_lp([1, 1, 3], eq=[([1, 1, 1], 3)], ineq=[([1, 0, 1], 1)]),
-    make_lp([1, 2, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 0, 1], 1)]),
-    make_lp([1, 1, 3], eq=[([1, 1, 1], 2)], ineq=[([1, 1, 1], 1)]),
-    make_lp([1], eq=[([1], 2)], ineq=[([1], 1)]),
-], ids=["row count", "row kind", "rhs", "objective", "coefficient", "fewer variables"])
-def test_solve_lp_refuses_an_lp_that_does_not_extend_the_start(lp):
-    with pytest.raises(InputError, match="does not extend"):
-        solve_lp(lp, start=solve_lp(BASE))
+@pytest.mark.parametrize("column", [
+    (3, {2: 1}), (3, {-1: 1}), (3, [1, 1]), (3, {0: 0.5}), (True, {0: 1}),
+], ids=["row count", "negative row", "list", "float", "bool objective"])
+def test_resume_lp_refuses_malformed_columns(column):
+    start = solve_lp(BASE)
+    before = resume_lp(start, [Z])
+    with pytest.raises(InputError):
+        resume_lp(start, [Z, column])
+    assert resume_lp(start, [Z]) == before
 
 
 @pytest.mark.parametrize("row", [0, 1])
@@ -160,8 +161,7 @@ def test_a_new_column_in_a_redundant_row_drives_its_artificial_out(row):
     # x = 1 twice keeps one artificial basic at zero; y joins one of the
     # two rows, so the pair forces y = 0 however large its objective
     start = solve_lp(make_lp([0], eq=[([1], 1), ([1], 1)]))
-    eq = [([1, int(r == row)], 1) for r in range(2)]
-    res = solve_lp(make_lp([0, 1], eq=eq), start=start)
+    res = resume_lp(start, [(1, {row: 1})])
     assert (res.status, res.value, res.witness) == ("optimal", 0, (1, 0))
 
 

@@ -45,8 +45,8 @@ def test_solve_lp_cells_count_every_row_times_every_variable(monkeypatch):
     spans = load_spans()
     solve, solved = engine.solve_lp, []
 
-    def recording(lp, start=None):
-        res = solve(lp, start=start)
+    def recording(lp):
+        res = solve(lp)
         solved.append((lp, res))
         return res
 

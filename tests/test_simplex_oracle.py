@@ -3,7 +3,9 @@
 Both follow Bland's rule and number their columns alike, so they pivot in
 the same order and must agree exactly on status, value, witness and duals,
 not just on the optimum, whether an LP is solved cold or resumed from the
-optimum of an LP it extends.
+optimum of an LP it extends.  A resumed sparse solve is handed only the
+appended columns, the dense reference the whole extended LP, so each
+resumed check also checks that appending columns solves the extended LP.
 """
 
 import random
@@ -17,16 +19,41 @@ from sclflow import clear_caches, engine
 from sclflow.bounds import universal_word
 from sclflow.cones import cone_spec, enumerate_disc_vectors
 from sclflow.engine import scl
-from sclflow.linprog import LinearProgram, make_lp, solve_lp
+from sclflow.linprog import LinearProgram, make_lp, resume_lp, solve_lp
 from sclflow.words import parse_word
 
 F = Fraction
 
 
-def assert_same(lp, start=None):
-    """The results of both simplices on `lp`, each resumed from its own
-    result in `start`, a pair returned here, when one is given."""
-    got = solve_lp(lp, start=None if start is None else start[0])
+def _columns(lp, first):
+    """The variables first.. of `lp` as `resume_lp` columns."""
+    rows = [row for row, _ in (*lp.eq_constraints, *lp.ineq_constraints)]
+    return [(lp.objective[v], {i: row[v] for i, row in enumerate(rows) if v in row})
+            for v in range(first, lp.dim())]
+
+
+def _with_columns(lp, columns):
+    """`lp` with the `resume_lp` columns appended as its last variables."""
+    rows = [(dict(row), b) for row, b in (*lp.eq_constraints, *lp.ineq_constraints)]
+    for v, (_c, coefs) in enumerate(columns, lp.dim()):
+        for i, a in coefs.items():
+            rows[i][0][v] = a
+    n_eq = len(lp.eq_constraints)
+    return LinearProgram(lp.objective + tuple(c for c, _ in columns),
+                         tuple(rows[:n_eq]), tuple(rows[n_eq:]))
+
+
+def assert_same(lp, start=None, columns=None):
+    """The results of both simplices on `lp`, a pair.  With `start`, a pair
+    returned here for an LP that `lp` extends, each simplex resumes from
+    its own result: the sparse one is handed only the appended `columns`,
+    by default read off `lp`, and the dense one all of `lp`."""
+    if start is None:
+        got = solve_lp(lp)
+    else:
+        if columns is None:
+            columns = _columns(lp, len(start[0].witness))
+        got = resume_lp(start[0], columns)
     want = solve_lp_dense(lp, start=None if start is None else start[1])
     assert got.status == want.status
     assert got.value == want.value
@@ -189,15 +216,20 @@ def test_scl_lps_match_reference(monkeypatch):
     # rounds of integer pricing, which must reach the value of one LP over
     # every unthinned disc vector
     seen = []
-    pairs = {}  # id of a solve_lp result -> the pair assert_same returned
+    solved = {}  # id of a sparse result -> (its LP, the pair assert_same returned)
 
-    def checked(lp, start=None):
-        pair = assert_same(lp, None if start is None else pairs[id(start)])
-        pairs[id(pair[0])] = pair
+    def checked(lp, start=None, columns=None):
+        pair = assert_same(lp, start, columns)
+        solved[id(pair[0])] = lp, pair
         seen.append(start is not None)
         return pair[0]
 
+    def resumed(start, columns):
+        lp, pair = solved[id(start)]
+        return checked(_with_columns(lp, columns), pair, columns)
+
     monkeypatch.setattr(engine, "solve_lp", checked)
+    monkeypatch.setattr(engine, "resume_lp", resumed)
     monkeypatch.setattr(engine, "_CG_BATCH", 3)
     sweep_word = parse_word("a^-3 b^-1 a b a b^-1 a b")
     clear_caches()
