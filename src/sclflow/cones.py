@@ -13,16 +13,20 @@ double-description method: the orthant of flow coordinates is cut by one
 conservation or weight equation at a time, in integers, with a
 combinatorial adjacency test.
 
-Disc vectors come from one enumerator, `priced_discs`: tables with
-prescribed annihilating row and column sums, cut as soon as their running
-cost under nonnegative integer entry costs reaches a budget, each row
-drawn from a list of candidates and the last row forced.  Without costs it
-lists every disc up to the bound (`enumerate_disc_vectors`); with the
-integer-scaled duals of a packing LP it is that LP's pricing oracle.
-Supports are tested for strong connectivity by
-`graphs.support_strongly_connected`, on the one bitmask reachability
-search that also gives `graphs.connectivity` its component partitions.
-Nothing here is memoized.
+Disc vectors come from one enumerator, `disc_pricer(spec, bound)`.  It
+lists once what does not depend on entry costs: the annihilating outflows
+up to the bound, and the candidate rows of each sum, packed into ints
+with their successor bitmasks.  The function it returns walks tables with
+those row and column sums under nonnegative integer entry costs, cut as
+soon as their running cost reaches a budget; one subtraction of packed
+ints tests a row against the column sums, and the last row is forced.
+Without costs it lists every disc up to the bound
+(`enumerate_disc_vectors`); with the integer-scaled duals of a packing LP
+it is that LP's pricing oracle, built once per column-generation run and
+bound.  Supports are tested for strong connectivity on successor masks by
+`graphs.masks_strongly_connected`, on the one bitmask reachability search
+that also gives `graphs.connectivity` its component partitions.  Nothing
+here is memoized.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from operator import le, mul, sub
-from typing import Iterator, Optional, Sequence
+from operator import le, mul
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InputError, LimitExceeded, as_int
-from .graphs import Flow, outflow_vector, support_strongly_connected
+from .graphs import (Flow, masks_strongly_connected, outflow_vector,
+                     support_strongly_connected)
 from .words import ExponentMatrix, matrix, validate_Mn
 
 DISC_N_LIMIT = 8
@@ -101,51 +106,47 @@ def _compositions(amount: int, parts: int) -> list[tuple[int, ...]]:
             for rest in _compositions(amount - v, parts - 1)]
 
 
-def _iter_tables(sums: tuple[int, ...], candidates, costs, budget: int
-                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """In lexicographic order, the nonnegative integer n x n matrices t
-    with row and column sums `sums` and cost sum(costs[i][j] * t[i][j])
-    below `budget`, for int costs >= 0, whose rows each come from
-    candidates[i][sums[i]]: (row, cost) pairs in lexicographic order.  The
-    running cost only grows, so a candidate is dropped once it costs the
-    room the rows above left, as is one that overfills or underfills a
-    column.  The last row is what the column sums leave; like a candidate,
-    it may not put a positive sum all on its loop entry."""
-    last = len(sums) - 1
-    rows = [()] * len(sums)
-
-    def rec(i, cols, after, room):
-        if i == last:
-            lone_loop = sums[i] and cols[i] == sums[i]
-            if not lone_loop and sum(map(mul, costs[i], cols)) < room:
-                rows[i] = cols
-                yield tuple(rows)
-            return
-        after -= sums[i]
-        for row, cost in candidates[i][sums[i]]:
-            if cost < room:
-                left = tuple(map(sub, cols, row))
-                if min(left) >= 0 and max(left) <= after:
-                    rows[i] = row
-                    yield from rec(i + 1, left, after, room - cost)
-
-    yield from rec(0, sums, sum(sums), budget)
+# A table row is packed into one int, entry j in byte j.  Entries and column
+# sums stay below the guard bit 0x80 of their byte (at most DISC_N_LIMIT *
+# DISC_BOUND_LIMIT), so one subtraction compares every entry.
+_GUARD = 0x80
 
 
-def priced_discs(spec: ConeSpec, bound: int, costs=None,
-                 budget: int = 1) -> Iterator[Flow]:
-    """The disc vectors with every outflow <= bound and cost
-    sum(costs[i][j] * d[i][j]) < budget, for an n x n table of int costs
-    >= 0 (all zero when omitted), in `enumerate_disc_vectors`' order.
+def _pack(row) -> int:
+    return int.from_bytes(bytes(row), "little")
 
-    Row i of a table is drawn from the rows of its sum, listed once per
-    call, that cost less than the budget on their own and do not put a
-    positive sum all on the loop (i, i): that would cut vertex i off, and
-    an annihilating outflow is positive at two vertices at least, as no
-    column of the cone's rows is zero.  Tables are cut as soon as their
-    running cost reaches the budget, so a pricing round visits only the
-    tables that can still price in.  The limits, the costs and the budget
-    are checked when this is called, before the first disc is produced.
+
+def disc_pricer(spec: ConeSpec, bound: int) -> Callable[..., Iterator[Flow]]:
+    """The pricing oracle of the cone's disc vectors with every outflow <=
+    bound, as a function `price(costs=None, budget=1)`: an iterator over the
+    discs d of cost sum(costs[i][j] * d[i][j]) < budget, for an n x n table
+    of int costs >= 0 (all zero when omitted), in `enumerate_disc_vectors`'
+    order.  The limits are checked when this is called, and the costs and
+    the budget when `price` is, before its first disc.
+
+    Everything that does not depend on the costs is listed here, once:
+    - the annihilating outflows o, in lexicographic order.  The last entry
+      is solved from a defining row whose last entry is nonzero, so only
+      the (bound+1)^(n-1) heads are walked;
+    - for each vertex i and sum s, the rows of sum s in lexicographic
+      order, each with its packed int and its successor bitmask, without
+      the row that puts a positive s all on the loop (i, i): that would
+      cut vertex i off, and an annihilating outflow is positive at two
+      vertices at least, as no column of the cone's rows is zero.
+
+    A disc of outflow o is a table with row and column sums o.  `price`
+    keeps the rows that cost less than the budget on their own and walks
+    the tables in lexicographic order, row i drawn from the rows of sum
+    o[i].  A row is dropped once it costs the room the rows above left, or
+    once it overfills a column: with the remaining column sums packed as
+    `cols`, `d = (cols | G) - packed` keeps every guard bit of G exactly
+    when no entry borrows, and `d ^ G` is then what the columns still need.
+    Those needs add up to the rows still to come, so none can exceed them.
+    The last row is what the column sums leave, looked up by its packed int
+    among the last vertex's rows; its cost is carried down the walk as
+    costs[n-1] . o less the costs[n-1]-cost of each row above.  A complete
+    table is a disc when its support, the rows' successor masks, is
+    strongly connected (`graphs.masks_strongly_connected`).
     """
     if spec.n > DISC_N_LIMIT:
         raise LimitExceeded(f"disc enumeration limited to n <= {DISC_N_LIMIT}")
@@ -155,38 +156,80 @@ def priced_discs(spec: ConeSpec, bound: int, costs=None,
     if bound > DISC_BOUND_LIMIT:
         raise LimitExceeded(f"disc enumeration limited to bound <= {DISC_BOUND_LIMIT}")
     n = spec.n
-    budget = as_int(budget)
-    if costs is None:
-        costs = ((0,) * n,) * n
-    if not (isinstance(costs, Sequence) and len(costs) == n and all(
-            isinstance(row, Sequence) and len(row) == n for row in costs)):
-        raise InputError(f"entry costs must form an {n} x {n} table")
-    costs = [tuple(map(as_int, row)) for row in costs]
-    if min(map(min, costs)) < 0:
-        raise InputError("entry costs must be nonnegative")
+    last = n - 1
+    guards = _pack((_GUARD,) * n)
+    outflows = []  # (o, packed o)
+    free = []  # free[i][s]: (row, packed row, successor mask) of vertex i, sum s
+    forced = {}  # the last row by its packed int: (row, successor mask)
+    if n > 0:
+        # there is one, as no column of the cone's rows is zero
+        pivot = next(row for row in spec.rows if row[last])
+        for head in product(range(bound + 1), repeat=last):
+            top, rem = divmod(-sum(map(mul, pivot, head)), pivot[last])
+            o = head + (top,)
+            if not rem and 0 <= top <= bound and any(o) and not any(_weights(spec, o)):
+                outflows.append((o, _pack(o)))
+        rows_of_sum = [[(row, _pack(row), sum(1 << j for j, v in enumerate(row) if v))
+                        for row in _compositions(s, n)] for s in range(bound + 1)]
+        free = [[[r for r in rows if not (s and r[0][i] == s)]
+                 for s, rows in enumerate(rows_of_sum)] for i in range(n)]
+        forced = {packed: (row, succ) for rows in free[last]
+                  for row, packed, succ in rows}
 
-    def discs():
-        rows_of_sum = [_compositions(s, n) for s in range(bound + 1)]
-        candidates = [[[(row, cost) for row in rows
-                        if (cost := sum(map(mul, costs[i], row))) < budget
-                        and not (s and row[i] == s)]
-                       for s, rows in enumerate(rows_of_sum)] for i in range(n)]
-        for o in product(range(bound + 1), repeat=n):
-            if not any(o) or any(_weights(spec, o)):
-                continue
-            for entries in _iter_tables(o, candidates, costs, budget):
-                if support_strongly_connected(
-                        (i, j) for i, row in enumerate(entries)
-                        for j, v in enumerate(row) if v):
-                    yield Flow(n, entries)
+    def price(costs=None, budget: int = 1) -> Iterator[Flow]:
+        budget = as_int(budget)
+        if costs is None:
+            costs = ((0,) * n,) * n
+        if not (isinstance(costs, Sequence) and len(costs) == n and all(
+                isinstance(row, Sequence) and len(row) == n for row in costs)):
+            raise InputError(f"entry costs must form an {n} x {n} table")
+        costs = [tuple(map(as_int, row)) for row in costs]
+        if min(map(min, costs), default=0) < 0:
+            raise InputError("entry costs must be nonnegative")
+        last_costs = costs[last] if n > 0 else ()
 
-    return discs()
+        def discs():
+            # candidates[i][s]: (packed, cost, cost under row n-1's costs,
+            # row, successor mask) of the rows of vertex i and sum s
+            candidates = [[[(packed, cost, sum(map(mul, last_costs, row)),
+                             row, succ) for row, packed, succ in rows
+                            if (cost := sum(map(mul, costs[i], row))) < budget]
+                           for rows in free[i]] for i in range(last)]
+            table, masks = [()] * n, [0] * n
+
+            def walk(o, i, cols, room, last_cost):
+                if i == last - 1:
+                    for packed, cost, lcost, row, succ in candidates[i][o[i]]:
+                        if cost < room:
+                            d = (cols | guards) - packed
+                            if d & guards == guards and last_cost - lcost < room - cost:
+                                got = forced.get(d ^ guards)
+                                if got:
+                                    table[i], masks[i] = row, succ
+                                    table[last], masks[last] = got
+                                    if masks_strongly_connected(masks):
+                                        yield Flow(n, tuple(table))
+                    return
+                for packed, cost, lcost, row, succ in candidates[i][o[i]]:
+                    if cost < room:
+                        d = (cols | guards) - packed
+                        if d & guards == guards:
+                            table[i], masks[i] = row, succ
+                            yield from walk(o, i + 1, d ^ guards, room - cost,
+                                            last_cost - lcost)
+
+            for o, packed in outflows:
+                yield from walk(o, 0, packed, budget, sum(map(mul, last_costs, o)))
+
+        return discs()
+
+    return price
 
 
 def enumerate_disc_vectors(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
     """Exactly the integral cone members with strongly connected support and
     every outflow <= bound, in a deterministic order."""
-    return tuple(priced_discs(spec, bound))
+    return tuple(disc_pricer(spec, bound)())
 
 
 def clear_caches() -> None:
@@ -207,7 +250,7 @@ def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
     transitive, so the kept vectors alone find every dominated disc.
     Supports are compared as int bitmasks before the entries are.  The scl
     engine does not use this list: it prices its columns with
-    `priced_discs`.
+    `disc_pricer`.
     """
     discs = sorted(enumerate_disc_vectors(spec, bound),
                    key=lambda f: (sum(map(sum, f.entries)), f.entries))

@@ -7,20 +7,21 @@ Unit outflow plus the pairing identity make every cone condition automatic,
 so the feasible v_A are exactly the doubly stochastic n x n matrices and
 v_B is the entrywise image (v_B)[k][i] = (v_A)[i][k+1 mod n].
 
-The columns of each side are the disc vectors up to the outflow bound,
-found by column generation: a restricted LP starts from the discs of
-outflow at most one, and each round the pricing oracle
-`cones.priced_discs`, reading entry costs off the LP's duals, lists exactly
-the discs of positive reduced cost.  Once there are none, the optimum holds
-over every disc.  The LP at bound B restricts the LP at B+1, so one run
-serves every bound tried.  Each round appends its new columns to the last
-optimum, which stays primal feasible, through `resume_lp`, so a run builds
-one LP and runs phase 1 once.  Truncation to outflow bound B can only
-shrink the admissible decompositions, so the computed value is always an
-upper bound for scl.  It is reported as `stabilized` when it meets the
-combinatorial lower bound, or when two consecutive bounds agree.  Nothing
-on this path is memoized.  `conjecture_check` sets the computed value of a
-four-block family against its predicted closed form.
+The columns of each side are the disc vectors up to the outflow bound, found
+by column generation: a restricted LP starts from the discs of outflow at
+most one, and each round a pricing oracle of `cones.disc_pricer`, reading
+entry costs off the LP's duals, lists exactly the discs of positive reduced
+cost.  Each side builds one oracle per bound and prices every round at that
+bound with it.  Once no disc prices in, the optimum holds over every disc.
+The LP at bound B restricts the LP at B+1, so one run serves every bound
+tried.  Each round appends its new columns to the last optimum, which stays
+primal feasible, through `resume_lp`, so a run builds one LP and runs
+phase 1 once.  Truncation to outflow bound B can only shrink the admissible
+decompositions, so the computed value is always an upper bound for scl.  It
+is reported as `stabilized` when it meets the combinatorial lower bound, or
+when two consecutive bounds agree.  Nothing on this path is memoized.
+`conjecture_check` sets the computed value of a four-block family against
+its predicted closed form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import gcd
 from typing import Optional
 
 from .bounds import lower_bound
-from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, priced_discs
+from .cones import ConeSpec, cone_spec, disc_pricer, in_cone, is_disc_vector
 from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 from .graphs import Flow, flow_to_json
 from .linprog import LinearProgram, int_scaled, rat_to_json, resume_lp, solve_lp
@@ -72,17 +73,20 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
     A generator over the increasing `bounds`, all served by one run of
     column generation (Gilmore-Gomory): a disc of outflow <= B is one of
     outflow <= B+1.  The restricted LP starts from each side's discs of
-    outflow <= 1.  Each round the ineq duals y, over one common denominator
-    L, are the entry costs of `priced_discs`: it yields exactly the discs
-    with L*(y.d) < L, of positive reduced cost 1 - y.d, and the _CG_BATCH of
-    largest reduced cost join, ordered by (-reduced cost, side, entries); a
-    column in the LP has reduced cost <= 0 at its optimum.  Once none prices
-    in at a bound, (bound, LPResult, (side, disc) columns in variable order)
-    is yielded; the next bound prices against that optimum, so the yielded
-    `columns` list grows once the generator resumes.  `solve_lp` solves
-    the LP over the start columns once; every round after that appends its
-    columns to the last result through `resume_lp`, so phase 1 runs once,
-    and each round and bound pivots on from the last optimum.
+    outflow <= 1.  At each bound every side gets one `disc_pricer`, built
+    before that bound's first LP (so a bound out of range is refused before
+    any solve) and called every round; at bound 1 it also lists the start.  Each round the ineq duals y, over
+    one common denominator L, are its entry costs: it yields exactly the
+    discs with L*(y.d) < L, of positive reduced cost 1 - y.d, and the
+    _CG_BATCH of largest reduced cost join, ordered by (-reduced cost, side,
+    entries); a column in the LP has reduced cost <= 0 at its optimum.  Once
+    none prices in at a bound, (bound, LPResult, (side, disc) columns in
+    variable order) is yielded; the next bound prices against that optimum,
+    so the yielded `columns` list grows once the generator resumes.
+    `solve_lp` solves the LP over the start columns once; every round after
+    that appends its columns to the last result through `resume_lp`, so
+    phase 1 runs once, and each round and bound pivots on from the last
+    optimum.
     """
     res = None
     n_eq = len(eq_rows)
@@ -95,11 +99,13 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
                    for j, v in enumerate(row) if v}
 
     for bound in bounds:
-        for spec, _first in sides:
-            priced_discs(spec, bound)  # refuse a bound out of range before its LP
+        # one pricer per side and bound, reused every round; building it
+        # refuses a bound out of range before any LP at that bound
+        pricers = [disc_pricer(spec, bound) for spec, _first in sides]
         if res is None:
-            columns = [(side, d) for side, (spec, _first) in enumerate(sides)
-                       for d in priced_discs(spec, min(bound, 1))]
+            start = pricers if bound <= 1 else [disc_pricer(spec, 1)
+                                                for spec, _first in sides]
+            columns = [(side, d) for side, price in enumerate(start) for d in price()]
             ineqs = [(dict(row), rhs) for row, rhs in capacity_rows]
             for k, (side, d) in enumerate(columns, n_fixed):
                 for i, v in column(side, d)[1].items():
@@ -109,13 +115,13 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
         while res.status == "optimal" and bound > 1:  # at 1 the start is every column
             duals, scale = int_scaled(res.ineq_duals)
             if any(y < 0 for y in duals):
-                # the cut in priced_discs assumes costs that only grow
+                # the pricer's cut assumes costs that only grow
                 raise InternalCheckError("negative packing dual at an optimum")
             priced = []
-            for side, (spec, first) in enumerate(sides):
+            for side, ((spec, first), price) in enumerate(zip(sides, pricers)):
                 n = spec.n
                 costs = [duals[first + i * n:first + (i + 1) * n] for i in range(n)]
-                for d in priced_discs(spec, bound, costs, scale):
+                for d in price(costs, scale):
                     cost = sum(c * v for crow, drow in zip(costs, d.entries)
                                for c, v in zip(crow, drow))
                     # cost - scale = -L * (reduced cost)

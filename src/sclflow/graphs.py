@@ -9,8 +9,9 @@ non-integer where an integer belongs rather than truncate it.
 
 One search, `_reach` on int bitmasks of vertices, answers every
 connectivity question: the strong and weak component partitions of
-`connectivity`, and `support_strongly_connected`, the test `cones` applies
-to the support of a disc vector.
+`connectivity`, and `masks_strongly_connected`, the test `cones` applies to
+the support of a disc vector, given as one successor bitmask per vertex
+(`support_strongly_connected` takes the support as an edge list).
 
 Abstraction works on one list of (edge, weight, flow) records, None for an
 absent attribute.  It repeatedly smooths subdivision vertices: a vertex
@@ -92,14 +93,14 @@ class Connectivity:
     reflexive: bool
 
 
-def _reach(nbrs: dict[int, int], start: int) -> int:
+def _reach(nbrs: Sequence[int], start: int) -> int:
     """Bitmask of the vertices reachable from the vertex bit `start` along
-    nbrs (vertex -> bitmask of its neighbours; missing keys have none)."""
+    nbrs (vertex v -> bitmask of its neighbours, v = 0..len(nbrs)-1)."""
     seen = todo = start
     while todo:
         low = todo & -todo
         todo ^= low
-        new = nbrs.get(low.bit_length() - 1, 0) & ~seen
+        new = nbrs[low.bit_length() - 1] & ~seen
         seen |= new
         todo |= new
     return seen
@@ -114,12 +115,11 @@ def connectivity(g: MDGraph) -> Connectivity:
     searches per vertex: O(n (n + m)).
     """
     n = g.vertex_count
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
+    succ, pred = [0] * n, [0] * n
     for t, h in g.edges:
-        succ[t] = succ.get(t, 0) | 1 << h
-        pred[h] = pred.get(h, 0) | 1 << t
-    both = {v: succ.get(v, 0) | pred.get(v, 0) for v in succ.keys() | pred.keys()}
+        succ[t] |= 1 << h
+        pred[h] |= 1 << t
+    both = [s | p for s, p in zip(succ, pred)]
 
     def members(mask: int) -> tuple[int, ...]:
         return tuple(v for v in range(n) if mask >> v & 1)
@@ -138,22 +138,39 @@ def connectivity(g: MDGraph) -> Connectivity:
 
 def support_strongly_connected(edges) -> bool:
     """Strong connectivity of the digraph spanned by the support edges
-    (tail, head) of a conserved flow, with the flow fact that weak
-    connectivity suffices verified on the way."""
-    succ: dict[int, int] = {}
-    pred: dict[int, int] = {}
+    (tail, head) of a conserved flow: `masks_strongly_connected` on their
+    successor masks."""
+    edges = list(edges)
     verts = 0
     for t, h in edges:
-        succ[t] = succ.get(t, 0) | 1 << h
-        pred[h] = pred.get(h, 0) | 1 << t
         verts |= 1 << t | 1 << h
+    succ = [0] * verts.bit_length()
+    for t, h in edges:
+        succ[t] |= 1 << h
+    return masks_strongly_connected(succ)
+
+
+def masks_strongly_connected(succ: Sequence[int]) -> bool:
+    """Strong connectivity of the digraph with an edge from v to each vertex
+    of the bitmask succ[v] (v = 0..len(succ)-1), over the vertices its edges
+    touch; without edges it is not connected.  The digraph is meant to be
+    the support of a conserved flow, and the flow fact that weak
+    connectivity suffices there is verified on the way."""
+    pred = [0] * len(succ)
+    verts = 0
+    for t, heads in enumerate(succ):
+        if heads:
+            verts |= 1 << t | heads
+            while heads:
+                low = heads & -heads
+                pred[low.bit_length() - 1] |= 1 << t
+                heads ^= low
     if not verts:
         return False
     start = verts & -verts
     if _reach(succ, start) == verts and _reach(pred, start) == verts:
         return True
-    both = {v: succ.get(v, 0) | pred.get(v, 0) for v in succ.keys() | pred.keys()}
-    if _reach(both, start) == verts:
+    if _reach([s | p for s, p in zip(succ, pred)], start) == verts:
         # a conserved flow's support cannot be weakly but not strongly
         # connected; reaching this line would falsify that fact
         raise InternalCheckError("flow support weakly but not strongly connected")

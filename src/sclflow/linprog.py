@@ -24,7 +24,7 @@ simplex.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from copy import copy as shallow_copy
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -365,15 +365,25 @@ class _Tableau:
     def extend(self, columns) -> None:
         """Append new variables as nonbasic columns, each given as
         (objective coefficient, {constraint row: coefficient}) with the eq
-        rows numbered first; a malformed column is refused with an
-        `InputError` before the tableau changes.
+        rows numbered first; columns that are not a list of such pairs, or
+        a malformed pair, are refused with an `InputError` before the
+        tableau changes.
 
         A new variable with objective coefficient c and coefficients a_i
         has the column sum_i sign[i] * a_i * (column ident[i]), which is
         B^-1 times its normalized coefficients, and the reduced cost
         c + sum_i sign[i] * a_i * (reduced cost of ident[i]).
         """
-        added = [(_rational(c), _split(coefs, len(self.rows))) for c, coefs in columns]
+        if not isinstance(columns, Iterable):
+            raise InputError(f"columns are a {type(columns).__name__}, "
+                             "not a list of columns")
+        added = []
+        for column in columns:
+            if not (isinstance(column, Sequence) and len(column) == 2):
+                raise InputError(f"column {column!r} is not a pair "
+                                 "(objective coefficient, {row: coefficient})")
+            c, coefs = column
+            added.append((_rational(c), _split(coefs, len(self.rows))))
         # inverse[i]: the (row, entry) pairs of column ident[i]
         inverse = [[(r, row[c]) for r, row in enumerate(self.rows) if c in row]
                    for c in self.ident]
@@ -529,9 +539,10 @@ def resume_lp(start: LPResult, columns) -> LPResult:
     Each column is (objective coefficient, {constraint row: coefficient}),
     its rows numbered as the duals are: eq rows first, then ineq rows.  The
     start must be an optimal result carrying its tableau; it is copied,
-    never changed.  Any other start, a column that is not a map, a row
-    outside 0..rows-1 and an entry that is not an int or a `Fraction` are
-    refused with an `InputError` before any pivot.
+    never changed.  Any other start, columns that are not a list of pairs,
+    a column map that is not a map, a row outside 0..rows-1 and an entry
+    that is not an int or a `Fraction` are refused with an `InputError`
+    before any pivot.
     """
     if getattr(start, "status", None) != "optimal" or getattr(start, "tableau", None) is None:
         raise InputError("a start must be an optimal result of solve_lp, "

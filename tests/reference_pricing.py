@@ -1,12 +1,14 @@
 """Reference disc pricing by nested composition generators, for tests only.
 
-This is the table enumeration `sclflow.cones.priced_discs` used before it
-walked per-row candidate lists: one recursive generator per table entry,
-each row built entry by entry and cut as soon as its running cost reaches
-the budget, the last row enumerated like the others.  It is slow but
-independent of the candidate lists, the forced last row and the bitmask
-connectivity test, which makes it a good oracle: on every cone, bound,
-cost table and budget the two must yield the same discs in the same order.
+This is the table enumeration `sclflow.cones` used before it walked
+per-row candidate lists: every outflow vector tested against the weight
+rows, one recursive generator per table entry, each row built entry by
+entry and cut as soon as its running cost reaches the budget, the last row
+enumerated like the others.  It is slow but independent of the solved last
+outflow entry, the packed candidate rows, the forced last row and the
+bitmask connectivity test, which makes it a good oracle: on every cone,
+bound, cost table and budget `cones.disc_pricer` and it must yield the same
+discs in the same order.
 """
 
 from __future__ import annotations

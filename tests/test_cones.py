@@ -10,6 +10,7 @@ from sclflow.cones import (
     FLOW_EDGE_LIMIT,
     ConeSpec,
     cone_spec,
+    disc_pricer,
     enumerate_disc_vectors,
     extremal_rays,
     in_cone,
@@ -19,7 +20,6 @@ from sclflow.cones import (
     iter_bounded_flows,
     iter_cone_members,
     lp_columns,
-    priced_discs,
     weight_vector,
 )
 from sclflow.errors import InputError, LimitExceeded
@@ -185,6 +185,7 @@ def test_priced_discs_are_the_discs_below_the_budget(n, rows, bound):
     # full cost is below the budget, in the order of the full list
     spec = cone_spec(n, rows)
     discs = enumerate_disc_vectors(spec, bound)
+    price = disc_pricer(spec, bound)
     rng = random.Random(31)
     for _ in range(8):
         costs = [[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
@@ -195,11 +196,10 @@ def test_priced_discs_are_the_discs_below_the_budget(n, rows, bound):
             return sum(c * v for crow, drow in zip(costs, d.entries)
                        for c, v in zip(crow, drow))
 
-        assert list(priced_discs(spec, bound, costs, budget)) == \
-            [d for d in discs if cost(d) < budget]
-    assert list(priced_discs(spec, bound)) == list(discs)
+        assert list(price(costs, budget)) == [d for d in discs if cost(d) < budget]
+    assert list(price()) == list(discs)
     with pytest.raises(LimitExceeded):
-        priced_discs(spec, 7)  # refused when called, not when first read
+        disc_pricer(spec, 7)  # refused when called, not when first read
 
 
 @pytest.mark.parametrize("costs,budget", [
@@ -213,7 +213,7 @@ def test_priced_discs_are_the_discs_below_the_budget(n, rows, bound):
 def test_priced_discs_refuses_bad_costs(costs, budget):
     # refused when called, before the first disc
     with pytest.raises(InputError):
-        priced_discs(cone_spec(3, [[1, 1, -2]]), 2, costs, budget)
+        disc_pricer(cone_spec(3, [[1, 1, -2]]), 2)(costs, budget)
 
 
 def test_is_essential_minimal_vector():

@@ -305,6 +305,58 @@ def test_a_shared_run_yields_the_value_of_every_bound(monkeypatch):
         assert shared == alone, (p, q, r)
 
 
+@pytest.mark.parametrize("word,stabilize,built", [
+    ("a^-3 b^-1 a b a b^-1 a b", False, [1, 1, 3, 3]),
+    ("a^-4 b^-1 a b a^2 b^-1 a b", True, [1, 1, 2, 2, 3, 3]),
+], ids=["(1,1,1) at bound 3", "(1,2,1) stabilized"])
+def test_one_pricer_per_side_and_bound(monkeypatch, word, stabilize, built):
+    # a pricer lists the outflows and rows of its bound once; every
+    # pricing round at that bound reuses it.  The start columns come from
+    # a pricer of bound 1 per side: the run's own at bound 1.
+    from sclflow import engine
+
+    bounds, calls = [], []
+    make = engine.disc_pricer
+
+    def recording_pricer(spec, bound):
+        bounds.append(bound)
+        price = make(spec, bound)
+
+        def recording_price(*args):
+            calls.append(bound)
+            return price(*args)
+        return recording_price
+
+    monkeypatch.setattr(engine, "disc_pricer", recording_pricer)
+    scl(parse_word(word), bound=3, stabilize=stabilize)
+    assert sorted(bounds) == built
+    assert len(calls) > len(bounds)
+
+
+@pytest.mark.parametrize("name,pivots", [("scl-words", 521), ("scl-sweep", 395)])
+def test_seed_1_benchmark_pass_pivot_count(monkeypatch, name, pivots):
+    # the pivots of a pass follow from which columns each pricing round
+    # adds and in which order, so a pricer that changes either moves them
+    import sclflow
+    from sclflow import linprog
+    from test_values_digest import load
+
+    load(monkeypatch, "checks")
+    wl = load(monkeypatch, "workloads").build(name, 1, sclflow)
+    count = 0
+    pivot = linprog._Tableau.pivot
+
+    def counting_pivot(self, r, c):
+        nonlocal count
+        count += 1
+        return pivot(self, r, c)
+
+    monkeypatch.setattr(linprog._Tableau, "pivot", counting_pivot)
+    for item in wl.items:
+        wl.op(sclflow, item)
+    assert count == pivots
+
+
 def test_certificate_with_a_forged_part_is_refused():
     # one part per side, v/10 with weight 10, claims kappa 20 and value -9;
     # the parts are cone members but not integral, so not disc vectors

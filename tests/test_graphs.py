@@ -18,6 +18,7 @@ from sclflow.graphs import (
     hamiltonian_cycles,
     is_abstract,
     isomorphic,
+    masks_strongly_connected,
     mdgraph,
     positive_flow,
     removable_edge,
@@ -118,6 +119,34 @@ def test_support_connectivity_checks_the_flow_fact():
     # weakly but not strongly connected: no conserved flow has this support
     with pytest.raises(InternalCheckError):
         support_strongly_connected([(0, 1), (1, 0), (1, 2)])
+
+
+def successor_masks(n, edges):
+    succ = [0] * n
+    for t, h in edges:
+        succ[t] |= 1 << h
+    return succ
+
+
+@pytest.mark.parametrize("n,edges,connected", [
+    (3, [(0, 1), (1, 2), (2, 0), (1, 1)], True),
+    (3, [(0, 1), (1, 0), (2, 2)], False),
+    (0, [], False),
+    (3, [], False),
+    (4, [(0, 3), (3, 0)], True),
+    (3, [(2, 2)], True),
+    (3, [(0, 0), (2, 2)], False),
+    (DISC_N_LIMIT, [(0, DISC_N_LIMIT - 1), (DISC_N_LIMIT - 1, 5), (5, 0)], True),
+])
+def test_mask_connectivity_agrees_with_the_edge_list_test(n, edges, connected):
+    assert masks_strongly_connected(successor_masks(n, edges)) is connected
+    assert support_strongly_connected(edges) is connected
+
+
+def test_mask_connectivity_checks_the_flow_fact():
+    # weakly but not strongly connected: no conserved flow has this support
+    with pytest.raises(InternalCheckError):
+        masks_strongly_connected(successor_masks(3, [(0, 1), (1, 0), (1, 2)]))
 
 
 def test_flow_supports_are_reflexive():

@@ -147,12 +147,23 @@ def test_solve_lp_refuses_a_start_that_is_not_an_optimum_with_its_tableau(start)
 
 @pytest.mark.parametrize("column", [
     (3, {2: 1}), (3, {-1: 1}), (3, [1, 1]), (3, {0: 0.5}), (True, {0: 1}),
-], ids=["row count", "negative row", "list", "float", "bool objective"])
+    5, None, (1,), (3, {0: 1}, 0), {0: 1, 1: 1},
+], ids=["row count", "negative row", "list", "float", "bool objective",
+        "int", "None", "objective alone", "triple", "map alone"])
 def test_resume_lp_refuses_malformed_columns(column):
     start = solve_lp(BASE)
     before = resume_lp(start, [Z])
     with pytest.raises(InputError):
         resume_lp(start, [Z, column])
+    assert resume_lp(start, [Z]) == before
+
+
+@pytest.mark.parametrize("columns", [None, 5])
+def test_resume_lp_refuses_columns_that_are_not_a_list(columns):
+    start = solve_lp(BASE)
+    before = resume_lp(start, [Z])
+    with pytest.raises(InputError, match="not a list of columns"):
+        resume_lp(start, columns)
     assert resume_lp(start, [Z]) == before
 
 

@@ -1,8 +1,9 @@
-"""Disc pricing on candidate lists against the nested-generator reference.
+"""Disc pricing on packed rows against the nested-generator reference.
 
-`sclflow.cones.priced_discs` walks per-row candidate lists, forces the last
-row of each table and tests connectivity on bitmasks;
-`reference_pricing.priced_discs` builds every row entry by entry and tests
+`sclflow.cones.disc_pricer` walks per-row candidate lists of packed ints,
+solves the last entry of each outflow, forces the last row of each table
+and tests connectivity on successor masks; `reference_pricing.priced_discs`
+lists every outflow, builds every row entry by entry and tests
 connectivity on vertex sets.  On seeded cones, bounds, cost tables and
 budgets both must yield the same discs in the same order.
 """
@@ -11,7 +12,8 @@ import random
 
 from reference_pricing import priced_discs as reference_priced_discs
 
-from sclflow.cones import cone_spec, priced_discs
+from sclflow import cones
+from sclflow.cones import DISC_BOUND_LIMIT, DISC_N_LIMIT, cone_spec, disc_pricer
 from sclflow.errors import InputError
 
 
@@ -32,12 +34,13 @@ def random_cone(rng, n):
 
 def assert_pricing_matches(spec, bound, rng, tables):
     n = spec.n
-    assert list(priced_discs(spec, bound)) == reference_priced_discs(spec, bound)
+    price = disc_pricer(spec, bound)
+    assert list(price()) == reference_priced_discs(spec, bound)
     for _ in range(tables):
         costs = [[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(n)]
                  for _ in range(n)]
         budget = rng.randint(1, 12)
-        assert list(priced_discs(spec, bound, costs, budget)) == \
+        assert list(price(costs, budget)) == \
             reference_priced_discs(spec, bound, costs, budget), \
             (spec.rows, bound, costs, budget)
 
@@ -54,3 +57,31 @@ def test_five_vertex_cones_match_reference():
     rng = random.Random(5)
     for _ in range(2):
         assert_pricing_matches(random_cone(rng, 5), 2, rng, 2)
+
+
+def test_bound_zero_has_no_discs():
+    rng = random.Random(2)
+    for n in (2, 3, 4):
+        assert_pricing_matches(random_cone(rng, n), 0, rng, 1)
+        assert list(disc_pricer(random_cone(rng, n), 0)()) == []
+
+
+def test_large_bounds_match_reference():
+    # the largest entries and column totals a packed row holds, at n = 2, 3
+    rng = random.Random(23)
+    for n, bounds in ((2, (4, 5, 6)), (3, (4, 5))):
+        for bound in bounds:
+            assert_pricing_matches(random_cone(rng, n), bound, rng, 3)
+    assert_pricing_matches(cone_spec(3, [[1, 1, -2]]), 6, rng, 2)
+
+
+def test_six_vertex_cone_matches_reference():
+    rng = random.Random(6)
+    assert_pricing_matches(random_cone(rng, 6), 1, rng, 3)
+
+
+def test_column_totals_stay_below_the_guard_bit():
+    # a column of a table sums to at most n * bound; a packed entry must
+    # hold that below its guard bit, or the column test borrows across
+    # entries.  Raising a limit needs a wider entry.
+    assert DISC_N_LIMIT * DISC_BOUND_LIMIT < cones._GUARD
