@@ -24,7 +24,6 @@ from .bounds import (
     upper_bound_C,
 )
 from .cones import (
-    ConeSpec,
     clear_caches,
     cone_spec,
     enumerate_disc_vectors,
@@ -78,7 +77,7 @@ from .hardness import (
 )
 from .linprog import LinearProgram, LPResult, enumerate_vertices, make_lp, resume_lp, solve_lp
 from .synth import lemma_numbers, synthesize_extremal
-from .words import Word, make_word, parse_word, reduced_length, render_word
+from .words import ExponentMatrix, Word, make_word, parse_word, reduced_length, render_word
 
 __version__ = "0.1.0"
 

@@ -29,6 +29,7 @@ from .cones import (
     is_extremal,
 )
 from .engine import conjecture_check, scl, verify_certificate
+from .errors import InputError
 from .graphs import MDGraph, abstract_graph, connectivity, isomorphic, mdgraph
 from .hardness import (
     cyclic_pairs,
@@ -41,7 +42,7 @@ from .hardness import (
     verify_table_properties,
 )
 from .linprog import enumerate_vertices, make_lp, solve_lp
-from .words import make_word, parse_word, render_word
+from .words import Word, make_word, matrix, parse_word, render_word
 
 F = Fraction
 
@@ -142,8 +143,6 @@ def criterion_4() -> CriterionResult:
 
 
 def _random_word(rng: random.Random, n: int):
-    from .words import matrix, validate_Mn
-
     def side():
         while True:
             nrows = rng.randint(1, 3)
@@ -152,10 +151,11 @@ def _random_word(rng: random.Random, n: int):
                 row = [rng.randint(-2, 2) for _ in range(n - 1)]
                 row.append(-sum(row))
                 rows.append(row)
-            m = matrix(n, rows)
-            if m.rows and validate_Mn(m):
-                return m.rows
-    return make_word(n, side(), side())
+            try:
+                return matrix(n, rows)
+            except InputError:  # a column is all zero
+                pass
+    return Word(side(), side())
 
 
 def criterion_5() -> CriterionResult:

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import InputError, as_int
+from .errors import InputError, LimitExceeded, as_int
 from .linprog import rref
-from .words import ExponentMatrix, Word, make_word, matrix, validate_Mn
+from .words import ExponentMatrix, Word, make_word, matrix
 
 GENERIC_MAX_TRIES = 2000
+# the universal word has n^2 entries; each generic side is a rejection
+# search whose cost grows steeply with n (0.4 s at 12 blocks, 17 s at 16)
+UNIVERSAL_N_LIMIT = 100
+GENERIC_N_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,6 @@ def min_vanishing(x: ExponentMatrix) -> tuple[int, VanishingCertificate]:
     """Least total weight p of a nonzero lam >= 0 with lam . row = 0 for
     every row, plus one witness attaining it.  Weight n always works (the
     all-ones vector), so the level search terminates."""
-    if not validate_Mn(x):
-        raise InputError("matrix violates a membership condition")
     found = vanishing_combinations(tuple(zip(*x.rows)), x.n, first_only=True)
     if not found:
         raise AssertionError("unreachable: the all-ones vector annihilates all rows")
@@ -138,6 +140,8 @@ def universal_word(n: int) -> Word:
     n = as_int(n)
     if n < 2:
         raise InputError("universal word needs n >= 2")
+    if n > UNIVERSAL_N_LIMIT:
+        raise LimitExceeded(f"universal word limited to n <= {UNIVERSAL_N_LIMIT}")
     rows = []
     for i in range(1, n):
         row = [0] * n
@@ -173,6 +177,8 @@ def sample_generic_word(n: int, seed: int) -> Word:
     n = as_int(n)
     if n < 3:
         raise InputError("generic sampling needs n >= 3")
+    if n > GENERIC_N_LIMIT:
+        raise LimitExceeded(f"generic sampling limited to n <= {GENERIC_N_LIMIT}")
     rng = random.Random(seed)
 
     def full_rank(rows) -> bool:
@@ -185,13 +191,14 @@ def sample_generic_word(n: int, seed: int) -> Word:
                 row = [rng.randint(-2, 2) for _ in range(n - 1)]
                 row.append(-sum(row))
                 rows.append(row)
-            m = matrix(n, rows)
-            if not m.rows or not validate_Mn(m):
+            try:
+                m = matrix(n, rows)
+            except InputError:  # a column is all zero
                 continue
             if len(m.rows) != n - 1 or not full_rank(m.rows):
                 continue
             if generic_check(m):
-                return m.rows
+                return m
         raise InputError(f"sampler exceeded {GENERIC_MAX_TRIES} tries; widen the range")
 
-    return make_word(n, side(), side())
+    return Word(side(), side())

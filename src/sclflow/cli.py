@@ -17,7 +17,7 @@ import sys
 
 from .acceptance import ALL_CRITERIA, run_all, scorecard
 from .bounds import lower_bound, sample_generic_word, universal_word
-from .cones import cone_spec, enumerate_disc_vectors, extremal_rays, is_essential
+from .cones import enumerate_disc_vectors, extremal_rays, is_essential
 from .engine import DEFAULT_BOUND, conjecture_check, scl
 from .errors import InputError, InternalCheckError, LimitExceeded, SclflowError
 from .graphs import flow_from_json, flow_to_json, graph_from_json
@@ -88,8 +88,7 @@ def _parse_values(raw: str) -> list[int]:
 
 def _spec_from_args(args):
     w = parse_word(args.word)
-    mat = w.x if args.side == "a" else w.y
-    return cone_spec(w.n, mat.rows)
+    return w.x if args.side == "a" else w.y
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +103,9 @@ def cmd_compute(args):
 
 def cmd_bounds(args):
     w = parse_word(args.word)
-    lo = lower_bound(w)
+    # scl first: it refuses a word past its size cap before any search
     res = scl(w, bound=args.bound, stabilize=args.stabilize)
+    lo = lower_bound(w)
     payload = {"lower": rat_to_json(lo), "upper": rat_to_json(res.value),
                "certified_exact": lo == res.value, "status": res.status}
     return (payload, f"bracket ({lo}, {res.value})"

@@ -1,11 +1,14 @@
 """Flow cones attached to exponent matrices, and their integral geometry.
 
-For an integer exponent matrix z, the weight of a flow f has one component
-per row: sum_j z[i][j] * outflow_j(f).  The cone V(z) collects the
-conserved flows with vanishing weight; its nonzero integral members with
-strongly connected support are the disc vectors D(z).  One rule on the
-outflow vector, `_weights`, decides membership throughout: in `in_cone`,
-in disc enumeration and in `iter_cone_members`, the bounded members the
+A cone is given by an integer exponent matrix z, a `words.ExponentMatrix`:
+the type of a word side, so a word's own `x` and `y` are its two cones.
+`cone_spec` is `words.matrix` under the name callers use to build a cone
+from plain rows.  The weight of a flow f has one component per row of z:
+sum_j z[i][j] * outflow_j(f).  The cone V(z) collects the conserved flows
+with vanishing weight; its nonzero integral members with strongly
+connected support are the disc vectors D(z).  One rule on the outflow
+vector, `_weights`, decides membership throughout: in `in_cone`, in disc
+enumeration and in `iter_cone_members`, the bounded members the
 essential, extremal and synthesis checks search.  This module enumerates
 disc vectors up to an outflow bound, classifies essential and extremal
 members, and extracts the extremal rays of the cone by the
@@ -41,7 +44,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import InputError, LimitExceeded, as_int
 from .graphs import (Flow, masks_strongly_connected, outflow_vector,
                      support_strongly_connected)
-from .words import ExponentMatrix, matrix, validate_Mn
+from .words import ExponentMatrix, matrix as cone_spec
 
 DISC_N_LIMIT = 8
 DISC_BOUND_LIMIT = 6
@@ -51,44 +54,25 @@ RAY_N_LIMIT = 5
 FLOW_EDGE_LIMIT = 400
 
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """Defining integer rows of a cone on the complete digraph with n vertices."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if any(type(z) is not int for row in self.rows for z in row):
-            raise InputError("cone rows must hold integers")
-        if not validate_Mn(ExponentMatrix(self.n, self.rows)):
-            raise InputError("cone rows violate a membership condition")
-
-
-def cone_spec(n, rows) -> ConeSpec:
-    m = matrix(n, rows)
-    return ConeSpec(m.n, m.rows)
-
-
-def _weights(spec: ConeSpec, outflows) -> Iterator:
+def _weights(spec: ExponentMatrix, outflows) -> Iterator:
     """row . outflows for each defining row, lazily: the one membership rule.
     Integer outflows keep the arithmetic on ints."""
     return (sum(map(mul, row, outflows)) for row in spec.rows)
 
 
-def weight_vector(spec: ConeSpec, f: Flow) -> tuple[Fraction, ...]:
+def weight_vector(spec: ExponentMatrix, f: Flow) -> tuple[Fraction, ...]:
     """One component per defining row: row . outflow_vector(f)."""
     if f.n != spec.n:
         raise InputError("flow dimension does not match cone")
     return tuple(map(Fraction, _weights(spec, outflow_vector(f))))
 
 
-def in_cone(spec: ConeSpec, f: Flow) -> bool:
+def in_cone(spec: ExponentMatrix, f: Flow) -> bool:
     return f.n == spec.n and f.is_conserved() and \
         not any(_weights(spec, outflow_vector(f)))
 
 
-def is_disc_vector(spec: ConeSpec, f: Flow) -> bool:
+def is_disc_vector(spec: ExponentMatrix, f: Flow) -> bool:
     """Nonzero, integral, in the cone, with strongly connected support."""
     return (not f.is_zero() and f.is_integral() and in_cone(spec, f)
             and support_strongly_connected(f.support_edges()))
@@ -116,7 +100,7 @@ def _pack(row) -> int:
     return int.from_bytes(bytes(row), "little")
 
 
-def disc_pricer(spec: ConeSpec, bound: int) -> Callable[..., Iterator[Flow]]:
+def disc_pricer(spec: ExponentMatrix, bound: int) -> Callable[..., Iterator[Flow]]:
     """The pricing oracle of the cone's disc vectors with every outflow <=
     bound, as a function `price(costs=None, budget=1)`: an iterator over the
     discs d of cost sum(costs[i][j] * d[i][j]) < budget, for an n x n table
@@ -158,23 +142,22 @@ def disc_pricer(spec: ConeSpec, bound: int) -> Callable[..., Iterator[Flow]]:
     n = spec.n
     last = n - 1
     guards = _pack((_GUARD,) * n)
+    # there is one, as no column of the cone's rows is zero
+    pivot = next(row for row in spec.rows if row[last])
     outflows = []  # (o, packed o)
-    free = []  # free[i][s]: (row, packed row, successor mask) of vertex i, sum s
-    forced = {}  # the last row by its packed int: (row, successor mask)
-    if n > 0:
-        # there is one, as no column of the cone's rows is zero
-        pivot = next(row for row in spec.rows if row[last])
-        for head in product(range(bound + 1), repeat=last):
-            top, rem = divmod(-sum(map(mul, pivot, head)), pivot[last])
-            o = head + (top,)
-            if not rem and 0 <= top <= bound and any(o) and not any(_weights(spec, o)):
-                outflows.append((o, _pack(o)))
-        rows_of_sum = [[(row, _pack(row), sum(1 << j for j, v in enumerate(row) if v))
-                        for row in _compositions(s, n)] for s in range(bound + 1)]
-        free = [[[r for r in rows if not (s and r[0][i] == s)]
-                 for s, rows in enumerate(rows_of_sum)] for i in range(n)]
-        forced = {packed: (row, succ) for rows in free[last]
-                  for row, packed, succ in rows}
+    for head in product(range(bound + 1), repeat=last):
+        top, rem = divmod(-sum(map(mul, pivot, head)), pivot[last])
+        o = head + (top,)
+        if not rem and 0 <= top <= bound and any(o) and not any(_weights(spec, o)):
+            outflows.append((o, _pack(o)))
+    rows_of_sum = [[(row, _pack(row), sum(1 << j for j, v in enumerate(row) if v))
+                    for row in _compositions(s, n)] for s in range(bound + 1)]
+    # free[i][s]: (row, packed row, successor mask) of vertex i, sum s
+    free = [[[r for r in rows if not (s and r[0][i] == s)]
+             for s, rows in enumerate(rows_of_sum)] for i in range(n)]
+    # the last row by its packed int: (row, successor mask)
+    forced = {packed: (row, succ) for rows in free[last]
+              for row, packed, succ in rows}
 
     def price(costs=None, budget: int = 1) -> Iterator[Flow]:
         budget = as_int(budget)
@@ -186,7 +169,7 @@ def disc_pricer(spec: ConeSpec, bound: int) -> Callable[..., Iterator[Flow]]:
         costs = [tuple(map(as_int, row)) for row in costs]
         if min(map(min, costs), default=0) < 0:
             raise InputError("entry costs must be nonnegative")
-        last_costs = costs[last] if n > 0 else ()
+        last_costs = costs[last]
 
         def discs():
             # candidates[i][s]: (packed, cost, cost under row n-1's costs,
@@ -226,7 +209,7 @@ def disc_pricer(spec: ConeSpec, bound: int) -> Callable[..., Iterator[Flow]]:
     return price
 
 
-def enumerate_disc_vectors(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
+def enumerate_disc_vectors(spec: ExponentMatrix, bound: int) -> tuple[Flow, ...]:
     """Exactly the integral cone members with strongly connected support and
     every outflow <= bound, in a deterministic order."""
     return tuple(disc_pricer(spec, bound)())
@@ -237,7 +220,7 @@ def clear_caches() -> None:
     which clear caches between timed runs keep working."""
 
 
-def lp_columns(spec: ConeSpec, bound: int) -> tuple[Flow, ...]:
+def lp_columns(spec: ExponentMatrix, bound: int) -> tuple[Flow, ...]:
     """The essential disc vectors up to the bound, sorted by entries: those
     with no other disc vector entrywise below them.  They preserve every
     packing-LP value.
@@ -357,7 +340,7 @@ def iter_bounded_flows(edges: Sequence[tuple[int, int]],
     yield from rec(0)
 
 
-def iter_cone_members(spec: ConeSpec, edges: Sequence[tuple[int, int]],
+def iter_cone_members(spec: ExponentMatrix, edges: Sequence[tuple[int, int]],
                       caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The nonzero flows of `iter_bounded_flows(edges, caps)` that lie in
     the cone, as value tuples aligned with `edges`."""
@@ -370,7 +353,7 @@ def iter_cone_members(spec: ConeSpec, edges: Sequence[tuple[int, int]],
                 yield vals
 
 
-def _disc_support(spec: ConeSpec, d: Flow, what: str
+def _disc_support(spec: ExponentMatrix, d: Flow, what: str
                   ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """The support edges of the disc vector d and its int values on them.
     The searches below walk boxes as long as these values, so a disc with
@@ -384,7 +367,7 @@ def _disc_support(spec: ConeSpec, d: Flow, what: str
     return edges, vals
 
 
-def is_essential(spec: ConeSpec, d: Flow) -> bool:
+def is_essential(spec: ExponentMatrix, d: Flow) -> bool:
     """No way to write d = e + v with e a disc vector and v a nonzero cone
     member.  Any such e satisfies e <= d entrywise, so the search space is
     the finite set of proper nonzero subflows of d."""
@@ -408,7 +391,7 @@ class ExtremalityReport:
         return self.counterexample is None
 
 
-def is_extremal(spec: ConeSpec, d: Flow, n_max: int = 2) -> ExtremalityReport:
+def is_extremal(spec: ExponentMatrix, d: Flow, n_max: int = 2) -> ExtremalityReport:
     """Bounded extremality verifier against the ambient integral cone.
 
     For each N = 2..n_max it searches decompositions N*d = d_1 + ... + d_N
@@ -457,7 +440,7 @@ def is_extremal(spec: ConeSpec, d: Flow, n_max: int = 2) -> ExtremalityReport:
 # Extremal rays
 # ---------------------------------------------------------------------------
 
-def extremal_rays(spec: ConeSpec) -> list[Flow]:
+def extremal_rays(spec: ExponentMatrix) -> list[Flow]:
     """Primitive integral generators of the extremal rays of the cone.
 
     Double description (Motzkin et al., in the form of Fukuda and Prodon's

@@ -2,7 +2,9 @@
 
 The value of a word with exponent matrices (x, y) and n blocks per side is
 (n - S)/2, where S maximizes the total decomposition weight of a paired
-pair of unit-outflow flows (v_A, v_B) into disc vectors of the two cones.
+pair of unit-outflow flows (v_A, v_B) into disc vectors of the two cones,
+which are the word's own matrices: side A is the cone of `w.x`, side B
+that of `w.y`.
 Unit outflow plus the pairing identity make every cone condition automatic,
 so the feasible v_A are exactly the doubly stochastic n x n matrices and
 v_B is the entrywise image (v_B)[k][i] = (v_A)[i][k+1 mod n].
@@ -32,11 +34,11 @@ from math import gcd
 from typing import Optional
 
 from .bounds import lower_bound
-from .cones import ConeSpec, cone_spec, disc_pricer, in_cone, is_disc_vector
+from .cones import disc_pricer, in_cone, is_disc_vector
 from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 from .graphs import Flow, flow_to_json
 from .linprog import LinearProgram, int_scaled, rat_to_json, resume_lp, solve_lp
-from .words import Word, make_word
+from .words import ExponentMatrix, Word, make_word
 
 SCL_N_LIMIT = 6
 DEFAULT_BOUND = 3
@@ -139,7 +141,7 @@ def _solve_packing(eq_rows, n_fixed, capacity_rows, sides, bounds):
 # Klein function values
 # ---------------------------------------------------------------------------
 
-def klein_value(spec: ConeSpec, v: Flow, bound: int) -> Fraction:
+def klein_value(spec: ExponentMatrix, v: Flow, bound: int) -> Fraction:
     """Largest total weight of a disc-vector decomposition of v that stays
     entrywise below v, using disc vectors with outflow <= bound.
 
@@ -231,7 +233,7 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
               [({i * n + j: 1 for i in range(n)}, 1) for j in range(n)]
     capacity = [({r: -1}, 0) for r in range(nn)] + \
                [({i * n + (k + 1) % n: -1}, 0) for k in range(n) for i in range(n)]
-    sides = [(cone_spec(n, w.x.rows), 0), (cone_spec(n, w.y.rows), nn)]
+    sides = [(w.x, 0), (w.y, nn)]
     lo = lower_bound(w) if stabilize else None
     prev: Optional[Fraction] = None
     status = "upper_bound"
@@ -261,9 +263,11 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
 
 
 def scl_bracket(w: Word, bound: int = DEFAULT_BOUND) -> tuple[Fraction, Fraction]:
-    """(combinatorial lower bound, LP upper value); equality certifies scl."""
-    lo = lower_bound(w)
+    """(combinatorial lower bound, LP upper value); equality certifies scl.
+    The LP side runs first, so a word past its size cap is refused before
+    the lower-bound search."""
     hi = scl(w, bound).value
+    lo = lower_bound(w)
     if lo > hi:
         raise InternalCheckError(
             f"lower bound {lo} exceeds LP upper value {hi}; this falsifies "
@@ -308,11 +312,9 @@ def verify_certificate(result: SclResult, w: Word) -> bool:
             return False
         if v_b.outflow(i) != 1 or v_b.inflow(i) != 1:
             return False
-    spec_x = cone_spec(n, w.x.rows)
-    spec_y = cone_spec(n, w.y.rows)
-    if not in_cone(spec_x, v_a) or not in_cone(spec_y, v_b):
+    if not in_cone(w.x, v_a) or not in_cone(w.y, v_b):
         return False
-    for side, v, spec in ((cert.side_a, v_a, spec_x), (cert.side_b, v_b, spec_y)):
+    for side, v, spec in ((cert.side_a, v_a, w.x), (cert.side_b, v_b, w.y)):
         total = [[Fraction(0)] * n for _ in range(n)]
         for t, d in zip(side.weights, side.parts):
             if t < 0 or not is_disc_vector(spec, d):

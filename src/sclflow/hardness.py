@@ -25,11 +25,11 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .bounds import lower_bound, vanishing_combinations
-from .cones import ConeSpec, cone_spec, in_cone, is_disc_vector, is_essential
+from .cones import cone_spec, in_cone, is_disc_vector, is_essential
 from .engine import pair_flow
 from .errors import InputError, InternalCheckError, LimitExceeded, PromiseViolation, as_int
 from .graphs import Flow, flow_from_edges, hamiltonian_cycles, zero_flow
-from .words import Word, make_word
+from .words import ExponentMatrix, Word, make_word
 
 SS_BRUTE_LIMIT = 16
 SCL_PATH_MAX_M = 3  # longest input the reduction answers through scl
@@ -361,24 +361,22 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
                     raise InternalCheckError(
                         "paired cycle sums left an internal edge uncovered")
 
-    spec_x = cone_spec(n, [list(xs)])
+    w = small_scl_instance(xs)
     v_a = total.scale(Fraction(1, n_pairs))
-    if not in_cone(spec_x, v_a):
+    if not in_cone(w.x, v_a):
         raise InternalCheckError("normalized sum left the a-side cone")
     if any(v_a.outflow(i) != 1 for i in range(n)):
         raise InternalCheckError("normalized sum is not unit-outflow")
     for part in parts:
-        if not is_disc_vector(spec_x, part):
+        if not is_disc_vector(w.x, part):
             raise InternalCheckError("a cycle part is not an a-side disc vector")
 
     v_b = pair_flow(v_a)
-    y_row = [1] * (n - 1) + [-(n - 1)]
-    spec_y = cone_spec(n, [y_row])
     scaled_b = v_b.scale(n_pairs)
     if not scaled_b.is_integral():
         raise InternalCheckError("partner flow failed to scale to integers")
     int_b = Flow(n, tuple(tuple(int(v) for v in row) for row in scaled_b.entries))
-    if not is_disc_vector(spec_y, int_b):
+    if not is_disc_vector(w.y, int_b):
         raise InternalCheckError(
             "partner support is not connected; this contradicts the interval "
             "argument")
@@ -539,7 +537,7 @@ def reduce_ss_to_smallscl(values: Sequence[int]) -> ReductionTranscript:
 @dataclass(frozen=True)
 class EssentialGadget:
     balanced: tuple[int, ...]
-    spec: ConeSpec
+    spec: ExponentMatrix
     disc: Flow
 
 

@@ -42,6 +42,9 @@ EXTREMAL_N_MAX = 3  # synthesized points are checked extremal up to this N
 # step 3's complete digraph: 408 vertices for the largest 3-edge abstract
 # graph, 1586 for the smallest 4-edge one
 SYNTH_VERTEX_LIMIT = 500
+# input graphs are abstracted by merging one subdivision vertex at a time,
+# quadratic in the edges: a directed cycle of 2000 edges took 11.5 s
+SYNTH_EDGE_LIMIT = 100
 
 
 def step1_flow(g: MDGraph) -> tuple[tuple[int, ...], int]:
@@ -234,10 +237,17 @@ def synthesize_extremal(g: MDGraph) -> SynthesisResult:
     covers: the step-2 uniqueness certificate, agreement of the abstraction
     with (g, f, w) including flows and weights, the bounded extremality
     check against the ambient cone, and the disc-vector facts that make the
-    point extremal for the scl polyhedron as well.
+    point extremal for the scl polyhedron as well.  More than
+    SYNTH_EDGE_LIMIT input edges are refused.
     """
     if not g.edges:
         raise InputError("graph has no edges")
+    # on n >= 2 vertices strong connectivity takes n edges at least; the
+    # component search is quadratic in n, so this answers before it
+    if g.vertex_count > 1 and len(g.edges) < g.vertex_count:
+        raise InputError("graph is not strongly connected")
+    if len(g.edges) > SYNTH_EDGE_LIMIT:
+        raise LimitExceeded(f"synthesis limited to {SYNTH_EDGE_LIMIT} edges")
     if not connectivity(g).strongly_connected:
         raise InputError("graph is not strongly connected")
     canon = abstract_graph(MDGraph(g.vertex_count, g.edges))

@@ -3,9 +3,14 @@
 A word of reduced length 2n alternates n blocks of a-generators with n
 blocks of b-generators, starting with a and ending with b.  It is stored
 as a pair of exponent matrices: row i of `x` lists the exponents of the
-i-th a-generator across the n blocks (and likewise `y` for b).  Rows sum
-to zero (the word lies in the commutator subgroup) and every block is
-nonempty (every column has a nonzero entry somewhere).
+i-th a-generator across the n blocks (and likewise `y` for b).
+
+`ExponentMatrix` is the one type for integer rows on n blocks, and a word
+side is also the flow cone it defines (the cone functions of `cones` take
+it as is).  It is valid by construction: its constructor alone checks
+that n is a positive int, every entry is an int, every row has n entries
+and sums to zero (the word lies in the commutator subgroup), and no
+column is all zero (every block is nonempty).
 """
 
 from __future__ import annotations
@@ -20,37 +25,34 @@ _TOKEN_RE = re.compile(r"^([ab])([1-9][0-9]*)?(?:\^(-?[1-9][0-9]*))?$")
 
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """Rows of block exponents for one alphabet; trailing zero rows omitted."""
+    """Integer rows on n >= 1 blocks (or on the n vertices of a flow cone):
+    each row has n entries and sums to zero, and no column is all zero."""
 
     n: int
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:
+            raise InputError(f"block count must be a positive integer, got {self.n!r}")
         for row in self.rows:
+            if any(type(v) is not int for v in row):
+                raise InputError(f"row {row} must hold integers")
             if len(row) != self.n:
                 raise InputError(f"row {row} does not have {self.n} entries")
-
-    def trimmed(self) -> "ExponentMatrix":
-        rows = list(self.rows)
-        while rows and all(v == 0 for v in rows[-1]):
-            rows.pop()
-        return ExponentMatrix(self.n, tuple(tuple(r) for r in rows))
+            if sum(row):
+                raise InputError(f"row {row} does not sum to zero")
+        for j in range(self.n):
+            if not any(row[j] for row in self.rows):
+                raise InputError(f"column {j + 1} of the exponent matrix is all zero")
 
 
 def matrix(n, rows) -> ExponentMatrix:
-    rows = tuple(tuple(map(as_int, r)) for r in rows)
-    return ExponentMatrix(as_int(n), rows).trimmed()
-
-
-def validate_Mn(x: ExponentMatrix) -> bool:
-    """Both membership conditions: rows sum to zero, no all-zero column."""
-    for row in x.rows:
-        if sum(row) != 0:
-            return False
-    for j in range(x.n):
-        if not any(row[j] != 0 for row in x.rows):
-            return False
-    return True
+    """The matrix of `rows`, entries coerced with `as_int`, trailing zero
+    rows dropped."""
+    rows = [tuple(map(as_int, r)) for r in rows]
+    while rows and not any(rows[-1]):
+        rows.pop()
+    return ExponentMatrix(as_int(n), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,7 @@ class Word:
 
 
 def make_word(n, x_rows, y_rows) -> Word:
-    w = Word(matrix(n, x_rows), matrix(n, y_rows))
-    if not validate_Mn(w.x):
-        raise InputError("a-side exponent matrix violates a membership condition")
-    if not validate_Mn(w.y):
-        raise InputError("b-side exponent matrix violates a membership condition")
-    return w
+    return Word(matrix(n, x_rows), matrix(n, y_rows))
 
 
 def reduced_length(w: Word) -> int:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from sclflow.cones import ConeSpec, iter_cone_members
+from sclflow.cones import iter_cone_members
 from sclflow.graphs import Flow
+from sclflow.words import ExponentMatrix
 
 
-def extremal_by_listing(spec: ConeSpec, d: Flow, n_max: int
+def extremal_by_listing(spec: ExponentMatrix, d: Flow, n_max: int
                         ) -> tuple[int, Optional[tuple[tuple[int, ...], ...]]]:
     """(extremal_up_to, counterexample or None) for the disc vector d."""
     edges = d.support_edges()

@@ -16,11 +16,11 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from sclflow.cones import ConeSpec
 from sclflow.graphs import Flow
+from sclflow.words import ExponentMatrix
 
 
-def _weights(spec: ConeSpec, outflows) -> list[int]:
+def _weights(spec: ExponentMatrix, outflows) -> list[int]:
     return [sum(z * o for z, o in zip(row, outflows)) for row in spec.rows]
 
 
@@ -86,7 +86,7 @@ def iter_tables(sums: tuple[int, ...], costs, budget: int
     yield from rec(0, sums, [], total, budget)
 
 
-def priced_discs(spec: ConeSpec, bound: int, costs=None,
+def priced_discs(spec: ExponentMatrix, bound: int, costs=None,
                  budget: int = 1) -> list[Flow]:
     """The disc vectors with every outflow <= bound and cost below the
     budget, outflow vectors in lexicographic order and the tables of each

@@ -19,10 +19,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from sclflow.cones import RAY_N_LIMIT, ConeSpec
+from sclflow.cones import RAY_N_LIMIT
 from sclflow.errors import LimitExceeded
 from sclflow.graphs import Flow
 from sclflow.linprog import enumerate_vertices, int_scaled, rat, rref
+from sclflow.words import ExponentMatrix
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[Fraction, ...]]:
@@ -71,7 +72,7 @@ def affine_solution(rows: Sequence[Sequence[Fraction]],
     return tuple(sol)
 
 
-def constraint_rows(spec: ConeSpec) -> list[list[int]]:
+def constraint_rows(spec: ExponentMatrix) -> list[list[int]]:
     """Conservation rows, then weight rows, over the n*n flow coordinates
     (coordinate i*n + j is the edge i->j)."""
     n = spec.n
@@ -87,7 +88,7 @@ def constraint_rows(spec: ConeSpec) -> list[list[int]]:
     return rows
 
 
-def support_nullity(spec: ConeSpec, entries) -> int:
+def support_nullity(spec: ExponentMatrix, entries) -> int:
     """Nullity of the constraint columns on the support of a flow."""
     flat = [v for row in entries for v in row]
     support = [c for c, v in enumerate(flat) if v]
@@ -95,7 +96,7 @@ def support_nullity(spec: ConeSpec, entries) -> int:
     return len(support) - len(rref(sub))
 
 
-def extremal_rays_by_vertices(spec: ConeSpec, n_limit: int = RAY_N_LIMIT) -> list[Flow]:
+def extremal_rays_by_vertices(spec: ExponentMatrix, n_limit: int = RAY_N_LIMIT) -> list[Flow]:
     """Primitive integral generators of the extremal rays of the cone.
 
     The cone is pointed (it sits in the nonnegative orthant), so its rays

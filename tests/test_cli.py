@@ -4,8 +4,10 @@ import time
 import pytest
 from reference_rays import support_nullity
 
+from sclflow import cli, engine
 from sclflow.cli import main
 from sclflow.cones import cone_spec, in_cone
+from sclflow.errors import LimitExceeded
 from sclflow.graphs import flow_from_json
 from sclflow.words import parse_word
 
@@ -338,27 +340,54 @@ def test_gadget_essential_refuses_more_than_sixteen_values(capsys):
     assert err.startswith("refused:")
 
 
-@pytest.mark.parametrize("argv, files", [
+@pytest.mark.parametrize("argv, files, code", [
     (["gadget", "smallscl", "--values",
       ",".join(str(v) for v in [2 ** k for k in range(17)] + [1 - 2 ** 17])],
-     {}),
+     {}, 3),
     (["essential", "a b " * 34 + "a^-34 b^-34", "--disc", "{disc}"],
-     {"disc": {"n": 35, "entries": [[1] * 35] * 35}}),
+     {"disc": {"n": 35, "entries": [[1] * 35] * 35}}, 3),
     (["synth", "--graph", "{graph}"],
-     {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0], [0, 0], [1, 1]]}}),
-], ids=["smallscl-17-powers", "essential-35-blocks", "synth-4-edges"])
-def test_searches_past_their_caps_are_refused(tmp_path, capsys, argv, files):
-    # uncapped, the first ran for minutes and the other two ended in a
-    # RecursionError traceback
+     {"graph": {"vertices": 2, "edges": [[0, 1], [1, 0], [0, 0], [1, 1]]}}, 3),
+    (["universal", "101"], {}, 3),
+    (["generic", "13"], {}, 3),
+    (["synth", "--graph", "{graph}"],
+     {"graph": {"vertices": 101, "edges": [[v, (v + 1) % 101] for v in range(101)]}},
+     3),
+    (["synth", "--graph", "{graph}"],
+     {"graph": {"vertices": 10000, "edges": [[0, 0]]}}, 2),
+], ids=["smallscl-17-powers", "essential-35-blocks", "synth-4-edges",
+        "universal-101", "generic-13", "synth-101-edges", "synth-10000-vertices"])
+def test_searches_past_their_caps_are_refused(tmp_path, capsys, argv, files, code):
+    # uncapped, the first ran for minutes, the next two ended in a
+    # RecursionError traceback, and the last answered only after a
+    # component search quadratic in the vertices, though a graph with
+    # fewer edges than vertices cannot be strongly connected
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [a.format(**{k: tmp_path / f"{k}.json" for k in files}) for a in argv]
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv)
+    got, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5
+    assert got == code
+    assert out == ""
+    assert err.startswith({2: "input error:", 3: "refused:"}[code])
+
+
+def test_bounds_refuses_a_word_past_the_scl_cap_before_the_lower_bound(
+        capsys, monkeypatch):
+    # the lower-bound search grows with the blocks; scl refuses 7 at once
+    def lower_bound(w):
+        raise AssertionError("lower_bound ran")
+
+    monkeypatch.setattr(cli, "lower_bound", lower_bound)
+    monkeypatch.setattr(engine, "lower_bound", lower_bound)
+    word = "a b " * 6 + "a^-6 b^-6"
+    code, out, err = run_cli(capsys, "bounds", word)
     assert code == 3
     assert out == ""
     assert err.startswith("refused:")
+    with pytest.raises(LimitExceeded):
+        engine.scl_bracket(parse_word(word))
 
 
 W_UNSTABLE = "a^-3 b^-1 a b a b^-1 a b"

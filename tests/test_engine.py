@@ -107,7 +107,7 @@ def test_scl_monotone_in_bound():
 
 
 def _random_word(rng, n):
-    from sclflow.words import matrix, validate_Mn
+    from sclflow.words import matrix
 
     def side():
         while True:
@@ -116,9 +116,10 @@ def _random_word(rng, n):
                 row = [rng.randint(-2, 2) for _ in range(n - 1)]
                 row.append(-sum(row))
                 rows.append(row)
-            m = matrix(n, rows)
-            if m.rows and validate_Mn(m):
-                return m.rows
+            try:
+                return matrix(n, rows).rows
+            except InputError:  # a column is all zero
+                pass
     return make_word(n, side(), side())
 
 
@@ -144,6 +145,22 @@ def test_certificate_on_universal_word():
     spec_y = cone_spec(n, w.y.rows)
     assert in_cone(spec_x, cert.v_a)
     assert in_cone(spec_y, cert.v_b)
+
+
+def test_scl_prices_the_words_own_matrices(monkeypatch):
+    # the two cones are the word's sides themselves, not rebuilt copies
+    from sclflow import engine
+
+    pricer, priced = engine.disc_pricer, []
+
+    def recording(spec, bound):
+        priced.append(spec)
+        return pricer(spec, bound)
+
+    monkeypatch.setattr(engine, "disc_pricer", recording)
+    w = parse_word("a1 b1 b2 a1^-1 b1^-1 b2^-1")
+    scl(w)
+    assert {id(spec) for spec in priced} == {id(w.x), id(w.y)}
 
 
 def test_scl_bracket_commutator():

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from sclflow.errors import InputError, ParseError
 from sclflow.words import (
+    ExponentMatrix,
     make_word,
     matrix,
     parse_word,
     reduced_length,
     render_word,
-    validate_Mn,
 )
 
 
@@ -78,10 +78,29 @@ def test_reduced_length():
     assert reduced_length(parse_word("a1 b1 b2 a1^-1 b1^-1 b2^-1")) == 4
 
 
-def test_validate_Mn():
-    assert validate_Mn(matrix(2, [[1, -1]]))
-    assert not validate_Mn(matrix(3, [[1, -1, 0], [0, 0, 0]]))
-    assert not validate_Mn(matrix(2, [[2, -1]]))
+@pytest.mark.parametrize("n, rows, message", [
+    (2, ((Fraction(1, 2), Fraction(-1, 2)),), "integer"),
+    (2, ((True, -1),), "integer"),
+    (3, ((1, -1),), "does not have 3 entries"),
+    (2, ((2, -1),), "does not sum to zero"),
+    (3, ((1, -1, 0), (0, 0, 0)), "column 3 .* is all zero"),
+    (2, (), "column 1 .* is all zero"),
+    (0, (), "positive integer"),
+], ids=["fraction", "bool", "short-row", "nonzero-sum", "zero-column", "no-rows",
+        "no-blocks"])
+def test_exponent_matrix_refuses_invalid_rows(n, rows, message):
+    with pytest.raises(InputError, match=message):
+        ExponentMatrix(n, rows)
+    with pytest.raises(InputError, match=message):
+        matrix(n, rows)
+
+
+def test_matrix_coerces_entries_and_drops_trailing_zero_rows():
+    m = matrix(2, [[Fraction(1), Fraction(-1)], [0, 0]])
+    assert m == ExponentMatrix(2, ((1, -1),))
+    # the constructor itself refuses a Fraction, even an integral one
+    with pytest.raises(InputError, match="integer"):
+        ExponentMatrix(2, ((Fraction(1), Fraction(-1)),))
 
 
 def test_make_word_rejects_bad_matrices():
@@ -110,9 +129,10 @@ def random_word(rng, n):
                 row = [rng.randint(-2, 2) for _ in range(n - 1)]
                 row.append(-sum(row))
                 rows.append(row)
-            m = matrix(n, rows)
-            if validate_Mn(m) and m.rows:
-                return m.rows
+            try:
+                return matrix(n, rows).rows
+            except InputError:  # a column is all zero
+                pass
     return make_word(n, side(), side())
 
 
@@ -140,4 +160,5 @@ def test_parsed_words_always_satisfy_membership(p, q):
     if p == 0 or q == 0:
         return
     w = parse_word(f"a^{p} b^{q} a^{-p} b^{-q}")
-    assert validate_Mn(w.x) and validate_Mn(w.y)
+    assert ExponentMatrix(w.n, w.x.rows) == w.x
+    assert ExponentMatrix(w.n, w.y.rows) == w.y
