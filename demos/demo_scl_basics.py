@@ -7,7 +7,7 @@ exact rational linear program over paired unit-outflow flows.  Everything
 below is exact arithmetic: 1/2 means 1/2, not 0.4999....
 """
 
-from sclflow import parse_word, reduced_length, render_word, scl, scl_bracket
+from sclflow import parse_word, reduced_length, render_word, scl
 
 print(__doc__)
 
@@ -18,7 +18,7 @@ for text in [
 ]:
     w = parse_word(text)
     result = scl(w)
-    lo, hi = scl_bracket(w)
+    lo, hi = result.lower, result.value
     print(f"word: {render_word(w)}")
     print(f"  reduced length: {reduced_length(w)}")
     print(f"  scl = {result.value}  [{result.status}, disc bound {result.bound_used}]")

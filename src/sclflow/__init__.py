@@ -40,7 +40,6 @@ from .engine import (
     klein_value,
     pair_flow,
     scl,
-    scl_bracket,
 )
 from .errors import (
     InputError,

@@ -16,7 +16,6 @@ from itertools import product
 from typing import Callable, Optional
 
 from .bounds import (
-    lower_bound,
     sample_generic_word,
     universal_word,
     upper_bound_C,
@@ -99,9 +98,8 @@ def criterion_2() -> CriterionResult:
         for n in (3, 5):
             w = universal_word(n)
             res = scl(w)
-            lo = lower_bound(w)
             want = F(n, 2) - 1
-            oks.append(res.value == want == lo and res.status == "stabilized")
+            oks.append(res.value == want == res.lower and res.status == "stabilized")
             parts.append(f"n={n}: {res.value}")
         elapsed = time.perf_counter() - t0
         return all(oks) and elapsed < 120.0, "; ".join(parts)
@@ -113,11 +111,10 @@ def criterion_3() -> CriterionResult:
         t0 = time.perf_counter()
         w = universal_word(4)
         res = scl(w)
-        lo = lower_bound(w)
         elapsed = time.perf_counter() - t0
-        ok = (res.value == F(7, 6) and lo == 1 and res.status == "stabilized"
+        ok = (res.value == F(7, 6) and res.lower == 1 and res.status == "stabilized"
               and elapsed < 60.0)
-        return ok, f"value {res.value}, bracket ({lo}, {res.value})"
+        return ok, f"value {res.value}, bracket ({res.lower}, {res.value})"
     return _timed(run, 3, "universal word with four blocks computes to 7/6")
 
 
@@ -164,10 +161,10 @@ def criterion_5() -> CriterionResult:
         checked = 0
         for _ in range(200):
             w = _random_word(rng, rng.randint(2, 4))
-            lo = lower_bound(w)
-            hi = scl(w, bound=2, stabilize=False).value
-            if lo > hi:
-                return False, f"lower {lo} exceeds value {hi} for {render_word(w)}"
+            res = scl(w, bound=2, stabilize=False)
+            if res.lower > res.value:
+                return False, (f"lower {res.lower} exceeds value {res.value} "
+                               f"for {render_word(w)}")
             checked += 1
         return True, f"{checked} random words, lower bound never exceeded the value"
     return _timed(run, 5, "lower bound is sound against the LP value")

@@ -59,7 +59,7 @@ def _merge_settings(args) -> None:
     """Set each setting on args: its flag if given, else the config file's
     value, else the default."""
     data = {}
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         data = _load_json(args.config)
         if not isinstance(data, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
@@ -102,20 +102,23 @@ def cmd_compute(args):
 
 
 def cmd_bounds(args):
-    w = parse_word(args.word)
-    # scl first: it refuses a word past its size cap before any search
-    res = scl(w, bound=args.bound, stabilize=args.stabilize)
-    lo = lower_bound(w)
-    payload = {"lower": rat_to_json(lo), "upper": rat_to_json(res.value),
-               "certified_exact": lo == res.value, "status": res.status}
-    return (payload, f"bracket ({lo}, {res.value})"
-            + (" -- certified exact" if lo == res.value else ""))
+    res = scl(parse_word(args.word), bound=args.bound, stabilize=args.stabilize)
+    exact = res.lower == res.value
+    payload = {"lower": rat_to_json(res.lower), "upper": rat_to_json(res.value),
+               "certified_exact": exact, "status": res.status}
+    return (payload, f"bracket ({res.lower}, {res.value})"
+            + (" -- certified exact" if exact else ""))
 
 
-def _maybe_scl(args, w, payload: dict, text: str):
-    """A word's payload and text, with its scl added under --compute."""
-    if args.compute:
-        res = scl(w, bound=args.bound, stabilize=args.stabilize)
+def _maybe_scl(args, w, payload: dict, text: str, with_lower: bool = False):
+    """A word's payload and text, with its lower bound added if asked and
+    its scl added under --compute; the scl result carries the lower bound."""
+    res = scl(w, bound=args.bound, stabilize=args.stabilize) if args.compute else None
+    if with_lower:
+        lo = res.lower if res else lower_bound(w)
+        payload["lower"] = rat_to_json(lo)
+        text += f"\nlower bound: {lo}"
+    if res:
         payload["scl"] = rat_to_json(res.value)
         payload["status"] = res.status
         text += f"\nscl = {res.value} ({res.status})"
@@ -130,10 +133,8 @@ def cmd_universal(args):
 
 def cmd_generic(args):
     w = sample_generic_word(args.n, args.seed)
-    lo = lower_bound(w)
-    payload = {"word": render_word(w), "json": word_to_json(w),
-               "lower": rat_to_json(lo)}
-    return _maybe_scl(args, w, payload, f"word: {render_word(w)}\nlower bound: {lo}")
+    return _maybe_scl(args, w, {"word": render_word(w), "json": word_to_json(w)},
+                      f"word: {render_word(w)}", with_lower=True)
 
 
 def cmd_discs(args):
@@ -228,7 +229,7 @@ def cmd_conjecture(args):
 
 def cmd_verify(args):
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = [int(tok) for tok in args.only.split(",")]
         except ValueError as exc:

@@ -19,9 +19,13 @@ The LP at bound B restricts the LP at B+1, so one run serves every bound
 tried.  Each round appends its new columns to the last optimum, which stays
 primal feasible, through `resume_lp`, so a run builds one LP and runs
 phase 1 once.  Truncation to outflow bound B can only shrink the admissible
-decompositions, so the computed value is always an upper bound for scl.  It
-is reported as `stabilized` when it meets the combinatorial lower bound, or
-when two consecutive bounds agree.  Nothing on this path is memoized.
+decompositions, so the computed value is always an upper bound for scl.
+Every result also carries the combinatorial lower bound as `lower`, found
+once per call; `lower <= value` is checked on every result, since a lower
+bound above the LP value would falsify one of the two implementations, and
+`lower == value` certifies the value exact.  The value is reported as
+`stabilized` when it meets that lower bound, or when two consecutive bounds
+agree.  Nothing on this path is memoized.
 `conjecture_check` sets the computed value of a four-block family against
 its predicted closed form.
 """
@@ -184,6 +188,7 @@ class SclCertificate:
 @dataclass(frozen=True)
 class SclResult:
     value: Fraction
+    lower: Fraction  # the combinatorial lower bound; lower == value is exact
     status: str  # "stabilized" | "upper_bound"
     bound_used: int
     certificate: SclCertificate
@@ -218,6 +223,8 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
     `stabilized`.  If no bound pair agrees, the value at `bound` is reported
     with the honest `upper_bound` status.  With stabilization off, only the
     LP at `bound` is solved, and its value is reported as `upper_bound`.
+    Either way the result carries the lower bound, which never exceeds the
+    value: an `InternalCheckError` is raised if it does.
     """
     if w.n > SCL_N_LIMIT:
         raise LimitExceeded(f"scl computation limited to {SCL_N_LIMIT} blocks per side")
@@ -234,7 +241,7 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
     capacity = [({r: -1}, 0) for r in range(nn)] + \
                [({i * n + (k + 1) % n: -1}, 0) for k in range(n) for i in range(n)]
     sides = [(w.x, 0), (w.y, nn)]
-    lo = lower_bound(w) if stabilize else None
+    lo = lower_bound(w)
     prev: Optional[Fraction] = None
     status = "upper_bound"
     for b, res, columns in _solve_packing(eq_rows, nn, capacity, sides,
@@ -248,6 +255,10 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
             status = "stabilized"
             break
         prev = value
+    if lo > value:
+        raise InternalCheckError(
+            f"lower bound {lo} exceeds LP upper value {value}; this falsifies "
+            "one of the two implementations")
     v_a = Flow(n, tuple(tuple(res.witness[i * n + j] for j in range(n))
                         for i in range(n)))
     decomposed = ([], []), ([], [])  # (weights, parts) of side A, then side B
@@ -259,20 +270,8 @@ def scl(w: Word, bound: int = DEFAULT_BOUND, stabilize: bool = True) -> SclResul
         v_a=v_a, v_b=pair_flow(v_a),
         side_a=SideDecomposition(*map(tuple, decomposed[0])),
         side_b=SideDecomposition(*map(tuple, decomposed[1])))
-    return SclResult(value=value, status=status, bound_used=b, certificate=cert)
-
-
-def scl_bracket(w: Word, bound: int = DEFAULT_BOUND) -> tuple[Fraction, Fraction]:
-    """(combinatorial lower bound, LP upper value); equality certifies scl.
-    The LP side runs first, so a word past its size cap is refused before
-    the lower-bound search."""
-    hi = scl(w, bound).value
-    lo = lower_bound(w)
-    if lo > hi:
-        raise InternalCheckError(
-            f"lower bound {lo} exceeds LP upper value {hi}; this falsifies "
-            "one of the two implementations")
-    return lo, hi
+    return SclResult(value=value, lower=lo, status=status, bound_used=b,
+                     certificate=cert)
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,7 @@ def verify_certificate(result: SclResult, w: Word) -> bool:
     cert = result.certificate
     n = w.n
     v_a, v_b = cert.v_a, cert.v_b
-    if not is_paired(v_a, v_b):
+    if v_a.n != n or v_b.n != n or not is_paired(v_a, v_b):
         return False
     for i in range(n):
         if v_a.outflow(i) != 1 or v_a.inflow(i) != 1:

@@ -4,7 +4,7 @@ import time
 import pytest
 from reference_rays import support_nullity
 
-from sclflow import cli, engine
+from sclflow import bounds, cli, engine
 from sclflow.cli import main
 from sclflow.cones import cone_spec, in_cone
 from sclflow.errors import LimitExceeded
@@ -192,6 +192,18 @@ def test_json_output_byte_identical(capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--config", "", "compute", "a b a^-1 b^-1"),
+    ("compute", "a b a^-1 b^-1", "--config="),
+])
+def test_empty_config_path_is_input_error(capsys, argv):
+    # an empty path used to pass for no config file
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_malformed_config_json_is_input_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{bound: 3")
@@ -266,9 +278,14 @@ def test_rays_command_five_blocks(capsys):
         assert support_nullity(spec, r.entries) == 1
 
 
-@pytest.mark.parametrize("only", ["x", "1,", "99"])
-def test_bad_verify_criteria_are_input_error(capsys, only):
-    code, out, err = run_cli(capsys, "verify", "--only", only)
+@pytest.mark.parametrize("only", ["x", "1,", "99", ""])
+def test_bad_verify_criteria_are_input_error(capsys, monkeypatch, only):
+    # an empty list used to pass for an absent one and run the whole battery
+    def run_all(only=None):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    code, out, err = run_cli(capsys, "verify", f"--only={only}")
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
@@ -387,7 +404,41 @@ def test_bounds_refuses_a_word_past_the_scl_cap_before_the_lower_bound(
     assert out == ""
     assert err.startswith("refused:")
     with pytest.raises(LimitExceeded):
-        engine.scl_bracket(parse_word(word))
+        engine.scl(parse_word(word))
+
+
+@pytest.mark.parametrize("stabilize", [(), ("--no-stabilize",)],
+                         ids=["stabilize", "no-stabilize"])
+@pytest.mark.parametrize("argv", [
+    ("compute", "a b a^-1 b^-1"),
+    ("bounds", "a b a^-1 b^-1"),
+    ("universal", "4", "--compute"),
+    ("generic", "3", "--compute"),
+], ids=lambda argv: argv[0])
+def test_one_lower_bound_search_per_word(capsys, monkeypatch, argv, stabilize):
+    # scl finds the lower bound once and its callers read it off the result
+    calls = []
+
+    def counting(w, lower_bound=bounds.lower_bound):
+        calls.append(w)
+        return lower_bound(w)
+
+    for module in (bounds, engine, cli):
+        monkeypatch.setattr(module, "lower_bound", counting)
+    code, _, _ = run_cli(capsys, *argv, *stabilize)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [("compute",), ("bounds",)])
+def test_a_lower_bound_above_the_value_is_an_internal_failure(capsys, monkeypatch, argv):
+    word = parse_word("a b a^-1 b^-1")
+    value = engine.scl(word).value
+    monkeypatch.setattr(engine, "lower_bound", lambda w: value + 1)
+    code, out, err = run_cli(capsys, *argv, "a b a^-1 b^-1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal invariant failure:")
 
 
 W_UNSTABLE = "a^-3 b^-1 a b a b^-1 a b"

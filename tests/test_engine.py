@@ -15,10 +15,9 @@ from sclflow.engine import (
     pair_flow,
     is_paired,
     scl,
-    scl_bracket,
     verify_certificate,
 )
-from sclflow.errors import InputError, LimitExceeded
+from sclflow.errors import InputError, InternalCheckError, LimitExceeded
 from sclflow.graphs import Flow, cycle_flow, zero_flow
 from sclflow.words import make_word, parse_word, render_word
 
@@ -163,13 +162,35 @@ def test_scl_prices_the_words_own_matrices(monkeypatch):
     assert {id(spec) for spec in priced} == {id(w.x), id(w.y)}
 
 
+def _bracket(res):
+    return res.lower, res.value
+
+
 def test_scl_bracket_commutator():
-    assert scl_bracket(parse_word("a b a^-1 b^-1")) == (F(0), F(1, 2))
+    assert _bracket(scl(parse_word("a b a^-1 b^-1"))) == (F(0), F(1, 2))
 
 
 def test_scl_bracket_universal():
-    assert scl_bracket(universal_word(3)) == (F(1, 2), F(1, 2))
-    assert scl_bracket(universal_word(4)) == (F(1), F(7, 6))
+    assert _bracket(scl(universal_word(3))) == (F(1, 2), F(1, 2))
+    assert _bracket(scl(universal_word(4))) == (F(1), F(7, 6))
+
+
+@pytest.mark.parametrize("stabilize", [True, False])
+def test_every_result_carries_the_lower_bound(stabilize):
+    for w in (parse_word("a b a^-1 b^-1"), universal_word(3), universal_word(4)):
+        res = scl(w, bound=2, stabilize=stabilize)
+        assert res.lower == lower_bound(w) <= res.value
+
+
+@pytest.mark.parametrize("stabilize", [True, False])
+def test_a_lower_bound_above_the_value_is_an_internal_failure(monkeypatch, stabilize):
+    from sclflow import engine
+
+    w = parse_word("a b a^-1 b^-1")
+    value = scl(w, stabilize=stabilize).value
+    monkeypatch.setattr(engine, "lower_bound", lambda w: value + 1)
+    with pytest.raises(InternalCheckError, match="exceeds LP upper value"):
+        scl(w, stabilize=stabilize)
 
 
 def test_scl_size_refusal():
@@ -384,10 +405,19 @@ def test_certificate_with_a_forged_part_is_refused():
         v_a=cert.v_a, v_b=cert.v_b,
         side_a=SideDecomposition((F(10),), (cert.v_a.scale(F(1, 10)),)),
         side_b=SideDecomposition((F(10),), (cert.v_b.scale(F(1, 10)),)))
-    claim = SclResult(value=F(-9), status=res.status, bound_used=res.bound_used,
-                      certificate=forged)
+    claim = SclResult(value=F(-9), lower=res.lower, status=res.status,
+                      bound_used=res.bound_used, certificate=forged)
     assert (w.n - forged.kappa_sum()) / 2 == -9
     assert not verify_certificate(claim, w)
+
+
+@pytest.mark.parametrize("cert_word, w", [
+    ("a b a^-1 b^-1", universal_word(3)),
+    ("a1 a2 b1 b2 a1^-1 b1^-1 a2^-1 b2^-1", parse_word("a b a^-1 b^-1")),
+], ids=["fewer-blocks", "more-blocks"])
+def test_certificate_of_another_size_is_refused(cert_word, w):
+    # the fewer-blocks case used to index past the certificate's flows
+    assert not verify_certificate(scl(parse_word(cert_word)), w)
 
 
 def test_certificates_hold_on_a_seeded_corpus():
