@@ -7,14 +7,16 @@ from plain rows.  The weight of a flow f has one component per row of z:
 sum_j z[i][j] * outflow_j(f).  The cone V(z) collects the conserved flows
 with vanishing weight; its nonzero integral members with strongly
 connected support are the disc vectors D(z).  One rule on the outflow
-vector, `_weights`, decides membership throughout: in `in_cone`, in disc
-enumeration and in `iter_cone_members`, the bounded members the
-essential, extremal and synthesis checks search.  This module enumerates
-disc vectors up to an outflow bound, classifies essential and extremal
-members, and extracts the extremal rays of the cone by the
-double-description method: the orthant of flow coordinates is cut by one
-conservation or weight equation at a time, in integers, with a
-combinatorial adjacency test.
+vector, `_weights`, decides membership in `in_cone` and in disc
+enumeration; `iter_cone_members`, the bounded members the essential,
+extremal and synthesis checks search, applies the same rows pulled back
+to edge values.  Those members come from `iter_bounded_flows`, one flat
+loop over an explicit stack of edges that walks the integral flows of a
+box in a fixed order.  This module enumerates disc vectors up to an
+outflow bound, classifies essential and extremal members, and extracts
+the extremal rays of the cone by the double-description method: the
+orthant of flow coordinates is cut by one conservation or weight
+equation at a time, in integers, with a combinatorial adjacency test.
 
 Disc vectors come from one enumerator, `disc_pricer(spec, bound)`.  It
 lists once what does not depend on entry costs: the annihilating outflows
@@ -49,8 +51,8 @@ from .words import ExponentMatrix, matrix as cone_spec
 DISC_N_LIMIT = 8
 DISC_BOUND_LIMIT = 6
 RAY_N_LIMIT = 5
-# the bounded-flow search recurses once per edge, and Python's default
-# recursion limit is 1000; synthesized points reach 340 support edges
+# the bounded-flow walk keeps one level per edge on a list, not on Python's
+# stack, so this caps its input; synthesized points reach 340 support edges
 FLOW_EDGE_LIMIT = 400
 
 
@@ -74,8 +76,28 @@ def in_cone(spec: ExponentMatrix, f: Flow) -> bool:
 
 def is_disc_vector(spec: ExponentMatrix, f: Flow) -> bool:
     """Nonzero, integral, in the cone, with strongly connected support."""
-    return (not f.is_zero() and f.is_integral() and in_cone(spec, f)
-            and support_strongly_connected(f.support_edges()))
+    return _disc_entries(spec, f) is not None
+
+
+def _disc_entries(spec: ExponentMatrix, f: Flow
+                  ) -> Optional[tuple[list[tuple[int, int]], tuple[int, ...]]]:
+    """The support edges of f and its int values on them when f is a disc
+    vector, else None; the edges are collected in the pass that finds f
+    nonzero."""
+    if f.n != spec.n or not f.is_integral():
+        return None
+    edges, vals = [], []
+    for t, row in enumerate(f.entries):
+        for h, v in enumerate(row):
+            if v:
+                edges.append((t, h))
+                vals.append(int(v))
+    outflow = list(map(sum, f.entries))
+    if (edges and outflow == list(map(sum, zip(*f.entries)))
+            and not any(_weights(spec, outflow))
+            and support_strongly_connected(edges)):
+        return edges, tuple(vals)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -280,77 +302,90 @@ def iter_bounded_flows(edges: Sequence[tuple[int, int]],
                        caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All integral flows supported on `edges` with value <= cap per edge.
 
-    Yields value tuples aligned with `edges`.  Conservation pruning works
-    vertex by vertex through partial net flow and remaining capacity: an
-    edge's value runs only over the interval that keeps both its endpoints
-    balanceable by the edges still to come.  Edges are processed in DFS
-    order so chains collapse early.  More than FLOW_EDGE_LIMIT edges are
-    refused.
+    Yields value tuples aligned with `edges`, lexicographic in the edges'
+    DFS order, which lets chains collapse early.  Conservation pruning
+    works vertex by vertex through partial net flow and remaining
+    capacity: an edge's value runs only over the interval that keeps both
+    its endpoints balanceable by the edges still to come, so every leaf is
+    a flow.  The walk is one loop over an explicit stack of edges: a level
+    is entered with its interval, and backtracking steps the deepest level
+    with a value left.  One int cap per edge and vertex ids >= 0 are
+    required, and more than FLOW_EDGE_LIMIT edges are refused.
     """
-    original_edges, original_caps = list(edges), list(caps)
-    if len(original_edges) > FLOW_EDGE_LIMIT:
+    edges, caps = list(edges), list(map(as_int, caps))
+    m = len(edges)
+    if m > FLOW_EDGE_LIMIT:
         raise LimitExceeded(
             f"bounded-flow search limited to {FLOW_EDGE_LIMIT} edges")
-    order = _traversal_order(original_edges)
-    inverse = [0] * len(order)
-    for pos, idx in enumerate(order):
-        inverse[idx] = pos
-    edges = [original_edges[i] for i in order]
-    caps = [original_caps[i] for i in order]
-    m = len(edges)
+    if len(caps) != m:
+        raise InputError(f"bounded-flow search needs one cap per edge, "
+                         f"got {len(caps)} for {m} edges")
     verts = sorted({v for e in edges for v in e})
-    rem_out = {v: 0 for v in verts}
-    rem_in = {v: 0 for v in verts}
-    for (t, h), c in zip(edges, caps):
+    if verts and verts[0] < 0:
+        raise InputError(f"vertex ids must be >= 0, got {verts[0]}")
+    # level k sets the k-th edge in DFS order, edges[i] from tail t to head
+    # h, to a value <= c
+    levels = [(*edges[i], caps[i], i) for i in _traversal_order(edges)]
+    rem_out, rem_in, net = ([0] * (verts[-1] + 1 if verts else 0) for _ in range(3))
+    for t, h, c, _i in levels:
         if t != h:
             rem_out[t] += c
             rem_in[h] += c
-    net = {v: 0 for v in verts}
-    vals = [0] * m
-
-    def rec(idx):
-        if idx == m:
+    vals, top = [0] * m, [0] * m
+    k = 0
+    while True:
+        if k < m:
+            t, h, c, i = levels[k]
+            if t == h:
+                lo, hi = 0, c
+            else:
+                rem_out[t] -= c
+                rem_in[h] -= c
+                # net[t] + v and net[h] - v must stay within -rem_out..rem_in
+                lo = max(0, -rem_out[t] - net[t], net[h] - rem_in[h])
+                hi = min(c, rem_in[t] - net[t], net[h] + rem_out[h])
+            if lo <= hi:
+                vals[i], top[k] = lo, hi
+                net[t] += lo
+                net[h] -= lo
+                k += 1
+                continue
+            if t != h:  # an empty level is left as it was entered
+                rem_out[t] += c
+                rem_in[h] += c
+        else:
             # every vertex was balanced by the last interval through it
-            yield tuple(vals[inverse[i]] for i in range(m))
+            yield tuple(vals)
+        k -= 1
+        while k >= 0:
+            t, h, c, i = levels[k]
+            if vals[i] < top[k]:
+                vals[i] += 1
+                net[t] += 1
+                net[h] -= 1
+                k += 1
+                break
+            net[t] -= vals[i]
+            net[h] += vals[i]
+            vals[i] = 0
+            if t != h:
+                rem_out[t] += c
+                rem_in[h] += c
+            k -= 1
+        else:
             return
-        t, h = edges[idx]
-        c = caps[idx]
-        if t == h:
-            for v in range(c + 1):
-                vals[idx] = v
-                yield from rec(idx + 1)
-            vals[idx] = 0
-            return
-        rem_out[t] -= c
-        rem_in[h] -= c
-        # net[t] + v and net[h] - v must stay within -rem_out..rem_in
-        lo = max(0, -rem_out[t] - net[t], net[h] - rem_in[h])
-        hi = min(c, rem_in[t] - net[t], net[h] + rem_out[h])
-        for v in range(lo, hi + 1):
-            vals[idx] = v
-            net[t] += v
-            net[h] -= v
-            yield from rec(idx + 1)
-            net[t] -= v
-            net[h] += v
-        vals[idx] = 0
-        rem_out[t] += c
-        rem_in[h] += c
-
-    yield from rec(0)
 
 
 def iter_cone_members(spec: ExponentMatrix, edges: Sequence[tuple[int, int]],
                       caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The nonzero flows of `iter_bounded_flows(edges, caps)` that lie in
-    the cone, as value tuples aligned with `edges`."""
+    the cone, as value tuples aligned with `edges`.  Each weight row is
+    pulled back to the edges once, as row[tail] per edge, so a flow is
+    tested on its values without building its outflow vector."""
+    pulled = [[row[t] for t, _h in edges] for row in spec.rows]
     for vals in iter_bounded_flows(edges, caps):
-        if any(vals):
-            o = [0] * spec.n
-            for (t, _h), v in zip(edges, vals):
-                o[t] += v
-            if not any(_weights(spec, o)):
-                yield vals
+        if any(vals) and not any(sum(map(mul, row, vals)) for row in pulled):
+            yield vals
 
 
 def _disc_support(spec: ExponentMatrix, d: Flow, what: str
@@ -358,13 +393,12 @@ def _disc_support(spec: ExponentMatrix, d: Flow, what: str
     """The support edges of the disc vector d and its int values on them.
     The searches below walk boxes as long as these values, so a disc with
     an entry above DISC_BOUND_LIMIT is refused before any search."""
-    if not is_disc_vector(spec, d):
+    support = _disc_entries(spec, d)
+    if support is None:
         raise InputError(f"{what} is defined for disc vectors only")
-    edges = d.support_edges()
-    vals = tuple(int(d.entries[t][h]) for t, h in edges)
-    if max(vals) > DISC_BOUND_LIMIT:
+    if max(support[1]) > DISC_BOUND_LIMIT:
         raise LimitExceeded(f"{what} limited to disc entries <= {DISC_BOUND_LIMIT}")
-    return edges, vals
+    return support
 
 
 def is_essential(spec: ExponentMatrix, d: Flow) -> bool:

@@ -35,8 +35,8 @@ class InternalCheckError(SclflowError):
 def as_int(v) -> int:
     """v as an int, for an int (not a bool) or a Fraction with denominator
     one; anything else, a float among them, is refused, not truncated."""
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return v.numerator
     if isinstance(v, int) and not isinstance(v, bool):
         return v
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return v.numerator
     raise InputError(f"expected an integer, got {v!r}")

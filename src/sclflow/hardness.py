@@ -544,6 +544,8 @@ class EssentialGadget:
 def _gadget_values(values: Sequence[int]) -> list[int]:
     # the essentiality search visits every subset of petals
     vals = [as_int(v) for v in values]
+    if not vals:
+        raise InputError("need at least one value")
     if len(vals) > SS_BRUTE_LIMIT:
         raise LimitExceeded(
             f"essentiality gadget limited to n <= {SS_BRUTE_LIMIT} values")
@@ -559,8 +561,6 @@ def essential_gadget(values: Sequence[int]) -> EssentialGadget:
     """
     vals = _gadget_values(values)
     m = len(vals)
-    if m < 1:
-        raise InputError("need at least one value")
     balanced = vals + [-sum(vals)]
     if any(v == 0 for v in balanced):
         raise InputError(

@@ -348,6 +348,14 @@ def test_lone_double_dash_value_is_input_error(capsys, argv):
     assert err.startswith("input error:")
 
 
+def test_gadget_essential_refuses_an_empty_list(capsys):
+    # an empty list has no nonempty subset to test, as the gadget itself says
+    code, out, err = run_cli(capsys, "gadget", "essential", "--values=")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: need at least one value\n"
+
+
 def test_gadget_essential_refuses_more_than_sixteen_values(capsys):
     # 17 powers of two: the parent's exhaustive petal search took seconds
     values = ",".join(str(2 ** k) for k in range(17))

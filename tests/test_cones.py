@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
+import reference_flows
 
 from sclflow import cones
 from sclflow.cones import (
@@ -29,6 +31,7 @@ from sclflow.graphs import (
     flow_from_edges,
     isomorphic,
     mdgraph,
+    support_strongly_connected,
     zero_flow,
 )
 from sclflow.linprog import make_lp, solve_lp
@@ -250,6 +253,59 @@ def test_checks_refuse_disc_entries_above_the_bound(check):
         check(SPEC2, cycle_flow(2, [0, 1]).scale(10 ** 9))
 
 
+def test_is_disc_vector_keeps_its_definition():
+    # one pass decides is_disc_vector and collects _disc_support's edges and
+    # values; both must agree with the definition on odd entries too:
+    # Fractions, floats (a float zero included), bools and another size
+    rng = random.Random(47)
+    odd = (Fraction(1, 2), Fraction(2), 1.0, 0.0, True)
+    cases = []
+    for rows in ([[1, -1]], [[2, -1, -1]], [[1, 1, -2]], [[1, -1, 1, -1]]):
+        spec = cone_spec(len(rows[0]), rows)
+        discs = enumerate_disc_vectors(spec, 2)
+        cases += [(spec, d) for d in discs]
+        for d in discs:  # the same value as a Fraction, a float or a bool
+            entries = [list(row) for row in d.entries]
+            t, h = rng.randrange(d.n), rng.randrange(d.n)
+            v = entries[t][h]
+            entries[t][h] = rng.choice([Fraction(v), float(v)] + [True] * (v == 1))
+            cases.append((spec, Flow(d.n, tuple(map(tuple, entries)))))
+        # cone members whose support may be disconnected: sums of two discs,
+        # random ones and every pair on disjoint vertices
+        verts = [{v for e in d.support_edges() for v in e} for d in discs]
+        sums = [(rng.randrange(len(discs)), rng.randrange(len(discs)))
+                for _ in range(20)]
+        sums += [(i, j) for i in range(len(discs)) for j in range(i)
+                 if not verts[i] & verts[j]]
+        for i, j in sums:
+            cases.append((spec, Flow(spec.n, tuple(
+                tuple(map(sum, zip(r, q)))
+                for r, q in zip(discs[i].entries, discs[j].entries)))))
+    for _ in range(300):
+        n = rng.randint(2, 3)
+        entries = [[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            entries[rng.randrange(n)][rng.randrange(n)] = rng.choice(odd)
+        spec = SPEC3 if rng.random() < 0.2 else cone_spec(3, [[2, -1, -1]])
+        cases.append((spec, Flow(n, tuple(map(tuple, entries)))))
+    accepted = 0
+    for spec, f in cases:
+        disc = (not f.is_zero() and f.is_integral() and in_cone(spec, f)
+                and support_strongly_connected(f.support_edges()))
+        assert is_disc_vector(spec, f) == disc, f.entries
+        try:
+            edges, vals = cones._disc_support(spec, f, "essentiality")
+        except InputError as exc:
+            assert str(exc) == "essentiality is defined for disc vectors only"
+            assert not disc, f.entries
+        else:
+            assert disc, f.entries
+            assert edges == f.support_edges()
+            assert vals == tuple(int(f.entries[t][h]) for t, h in edges)
+            accepted += 1
+    assert 20 <= accepted < len(cases) - 100
+
+
 def test_is_extremal_stops_at_the_first_counterexample(monkeypatch):
     # the N = 2 search reads the box below 2d lazily and ends at the first
     # cone member other than d and 2d, well before the box is exhausted
@@ -372,9 +428,92 @@ def test_iter_bounded_flows_matches_brute_force():
         assert sorted(flows) == expected, (edges, caps)
 
 
+def _random_box(rng, split):
+    """Up to 10 edges drawn with repeats among 1-5 vertex ids out of 0-7,
+    loops included; with `split`, from two vertex sets no edge joins."""
+    labels = rng.sample(range(8), rng.randint(1, 5))
+    cut = rng.randint(1, len(labels) - 1) if split and len(labels) > 1 else 0
+    pieces = [labels[:cut], labels[cut:]] if cut else [labels]
+    edges = []
+    for _ in range(rng.randint(1, 10)):
+        piece = rng.choice(pieces)
+        edges.append((rng.choice(piece), rng.choice(piece)))
+    return edges, [rng.choice((0, 1, 1, 2, 2, 3)) for _ in edges]
+
+
+def test_iter_bounded_flows_matches_the_recursive_walk():
+    # the same tuples in the same order: is_extremal reports the first
+    # counterexample it meets
+    rng = random.Random(41)
+    seen = {"loop": 0, "zero cap": 0, "repeat": 0, "split": 0, "10 edges": 0}
+    for case in range(240):
+        edges, caps = _random_box(rng, split=case % 3 == 0)
+        expected = list(reference_flows.iter_bounded_flows(edges, caps))
+        assert list(iter_bounded_flows(edges, caps)) == expected, (edges, caps)
+        seen["loop"] += any(t == h for t, h in edges)
+        seen["zero cap"] += 0 in caps
+        seen["repeat"] += len(set(edges)) < len(edges)
+        seen["split"] += len(_weak_pieces(edges)) > 1
+        seen["10 edges"] += len(edges) == 10
+    assert min(seen.values()) >= 10, seen
+
+
+def _weak_pieces(edges):
+    """The vertex sets of the weakly connected pieces of the edges."""
+    pieces = []
+    for t, h in edges:
+        touching = [p for p in pieces if t in p or h in p]
+        merged = {t, h}.union(*touching)
+        pieces = [p for p in pieces if p not in touching] + [merged]
+    return pieces
+
+
+def test_iter_cone_members_matches_the_recursive_walk():
+    rng = random.Random(43)
+    for case in range(200):
+        edges, caps = _random_box(rng, split=case % 3 == 0)
+        spec = None
+        while spec is None:  # rows summing to zero, with no zero column
+            rows = [[rng.randint(-3, 3) for _ in range(7)]
+                    for _ in range(rng.randint(1, 2))]
+            try:
+                spec = cone_spec(8, [row + [-sum(row)] for row in rows])
+            except InputError:
+                pass
+        expected = list(reference_flows.iter_cone_members(spec, edges, caps))
+        assert list(iter_cone_members(spec, edges, caps)) == expected, (edges, caps, spec.rows)
+
+
+def test_iter_bounded_flows_does_not_recurse_per_edge():
+    # a 400-edge cycle under a recursion limit just above the current stack
+    # depth: a walk that nests a frame per edge raises RecursionError
+    cycle = [(v, (v + 1) % FLOW_EDGE_LIMIT) for v in range(FLOW_EDGE_LIMIT)]
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        flows = list(iter_bounded_flows(cycle, [1] * FLOW_EDGE_LIMIT))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert flows == [(0,) * FLOW_EDGE_LIMIT, (1,) * FLOW_EDGE_LIMIT]
+
+
+@pytest.mark.parametrize("edges, caps", [
+    ([(0, 1), (1, 0)], [1]),              # fewer caps than edges
+    ([(0, 1), (1, 0)], [1, 1, 1]),        # more caps than edges
+    ([(0, 1), (1, 0)], [1, 1.0]),         # a float cap
+    ([(0, -1), (-1, 0)], [1, 1]),         # a negative vertex id
+], ids=["fewer-caps", "extra-caps", "float-cap", "negative-vertex"])
+def test_iter_bounded_flows_refuses_bad_input(edges, caps):
+    with pytest.raises(InputError):
+        next(iter_bounded_flows(edges, caps))
+
+
 def test_iter_bounded_flows_refuses_more_edges_than_the_limit():
-    # the search recurses once per edge; past the limit it is refused
-    # before Python's recursion limit is reached
+    # the limit bounds the input, not the stack: the walk keeps one level
+    # per edge in a list, and synthesized points reach 340 support edges
     loops = [(0, 0)] * FLOW_EDGE_LIMIT
     assert list(iter_bounded_flows(loops, [0] * FLOW_EDGE_LIMIT)) == [
         (0,) * FLOW_EDGE_LIMIT]

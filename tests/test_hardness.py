@@ -376,6 +376,13 @@ def test_essential_gadget_answers():
     assert essential_gadget_answer([1, -1]) is False  # balance entry is zero
 
 
+def test_essential_gadget_answer_refuses_an_empty_list():
+    # the empty list's balance is 0, but it has no nonempty subset at all
+    for call in (essential_gadget_answer, essential_gadget):
+        with pytest.raises(InputError, match="need at least one value"):
+            call([])
+
+
 @pytest.mark.parametrize("values", [
     [2 ** k for k in range(SS_BRUTE_LIMIT + 1)],
     [0] + [2 ** k for k in range(SS_BRUTE_LIMIT)],
