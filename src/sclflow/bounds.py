@@ -2,8 +2,8 @@
 
 The lower bound comes from the least total weight of a nonzero nonnegative
 integer combination annihilating every exponent row; the all-ones vector
-always works because rows sum to zero, so the search over weight levels
-1..n is exhaustive and exact.  The closed-form upper bound C(m) and the
+always works because rows sum to zero, so a search up to weight n is
+exhaustive and exact.  The closed-form upper bound C(m) and the
 maximizing words behind it live here too, as does a rejection sampler for
 words whose both sides admit no annihilating combination of weight < n.
 """
@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import InputError, LimitExceeded, as_int
+from .errors import InputError, InternalCheckError, LimitExceeded, as_int
 from .linprog import rref
 from .words import ExponentMatrix, Word, make_word, matrix
 
 GENERIC_MAX_TRIES = 2000
 # the universal word has n^2 entries; each generic side is a rejection
-# search whose cost grows steeply with n (0.4 s at 12 blocks, 17 s at 16)
+# search whose cost grows steeply with n (seed 1 on one 2-core CPython 3.11
+# machine: 0.07 s at 12 blocks, 3.0 s at 16)
 UNIVERSAL_N_LIMIT = 100
 GENERIC_N_LIMIT = 12
 
@@ -41,22 +42,29 @@ def vanishing_combinations(vectors, max_weight: int,
     sum_j lam_j * vectors[j] = 0 in every coordinate: the first witness of
     the least weight, or every witness, by ascending weight.
 
-    Each weight level is a depth-first walk over the positions, taken
-    big-magnitude first, trying lam_j = 0, 1, ... in turn.  A node fixes
-    lam on the positions before j and leaves exactly `left` units for
-    positions j..n-1, so the rest of the sum lies between left times the
-    least and left times the greatest remaining entry of each coordinate.
-    Two rules follow from that range:
+    One depth-first walk serves every weight level at once.  Positions are
+    taken big-magnitude first, trying lam_j = 0, 1, ... in turn, so the walk
+    meets the witnesses in lexicographic order.  A node fixes lam on the
+    positions before j and carries the interval [la, lb] of units that
+    positions j..n-1 may still take; the root gets [1, max_weight].  With L
+    units left, the rest of the sum lies between L times the least and L
+    times the greatest remaining entry of each coordinate, so:
 
-    1. A node is dead when some partial sum is not the negative of a
-       point in that range.
-    2. For position j, the values of lam_j whose child is alive by rule 1
-       form an interval, found with one integer floor or ceiling per
-       coordinate bound, and only that interval is walked.
+    1. A node's interval keeps only the L for which every partial sum is
+       the negative of a point in that range: one integer floor or ceiling
+       per coordinate bound.  A node whose interval is empty is not entered.
+    2. For position j, the values of lam_j whose child can be alive form an
+       interval, found with one floor or ceiling per coordinate bound taken
+       at the more permissive end of [la, lb], and only that interval is
+       walked.
+    3. The last position solves p + L a = 0, which fixes L unless its
+       vector is zero; then every L in the interval gives a witness.
 
-    Both rules cut only subtrees that hold no witness and leave the walk
-    order of the others alone, so the first witness and the full list
-    come out exactly as in a walk that tries every value.
+    Each witness is recorded with its weight.  In all-mode a stable sort by
+    weight gives each level's witnesses in walk order, as a walk per level
+    would.  In first-only mode each witness found caps the weight below its
+    own, so the last one found is the first witness of the least weight.
+    The rules and the cap cut only subtrees that hold no wanted witness.
     """
     n = len(vectors)
     if n == 0:
@@ -64,65 +72,105 @@ def vanishing_combinations(vectors, max_weight: int,
     order = sorted(range(n),
                    key=lambda j: -max((abs(c) for c in vectors[j]), default=0))
     vecs = [vectors[j] for j in order]
-    # least and greatest entry of each coordinate over positions j..n-1
-    suffix_lo = [tuple(map(min, zip(*vecs[j:]))) for j in range(n)]
-    suffix_hi = [tuple(map(max, zip(*vecs[j:]))) for j in range(n)]
+    # (least, greatest) entry of each coordinate over positions j..n-1
+    suffix = [tuple(zip(map(min, zip(*vecs[j:])), map(max, zip(*vecs[j:]))))
+              for j in range(n)]
+    # rule 2's constraints v d <= sign p_i + L c on lam_j = v, two per
+    # coordinate i of position j, as (i, d, sign, c)
+    steps = [tuple(con for i, (a, (lo, hi)) in enumerate(zip(vecs[j], suffix[j + 1]))
+                   for con in ((i, a - lo, -1, -lo), (i, hi - a, 1, hi)))
+             for j in range(n - 1)]
     last = n - 1
     lam = [0] * n
-    found: list[tuple[int, ...]] = []
+    found: list[tuple[int, tuple[int, ...]]] = []
+    cap = max_weight
 
-    def rec(j, left, partial):
-        """False once the search should stop."""
-        vec = vecs[j]
+    def units(partial, j, la, lb):
+        """Rule 1: the L in [la, lb] with L lo <= -p <= L hi for every
+        coordinate bound (lo, hi) of positions j..; empty when la > lb."""
+        for p, (lo, hi) in zip(partial, suffix[j]):
+            if lo > 0:
+                if -p // lo < lb:
+                    lb = -p // lo
+            elif lo < 0:
+                if -(p // lo) > la:
+                    la = -(p // lo)
+            elif p > 0:
+                return 1, 0
+            if hi > 0:
+                if -(p // hi) > la:
+                    la = -(p // hi)
+            elif hi < 0:
+                if -p // hi < lb:
+                    lb = -p // hi
+            elif p < 0:
+                return 1, 0
+            if la > lb:
+                break
+        return la, lb
+
+    def rec(j, la, lb, weight, partial):
+        """Walk the node at position j; weight is the sum of lam before j."""
+        nonlocal cap
         if j == last:
-            # the last position takes every unit that is left
-            if any(p + left * a for p, a in zip(partial, vec)):
-                return True
-            witness = [0] * n
-            for pos, i in enumerate(order):
-                witness[i] = lam[pos]
-            witness[order[j]] = left
-            found.append(tuple(witness))
-            return not first_only
-        # the child for lam_j = v has left - v units for positions j+1..,
-        # so it lives iff (left - v) lo <= -(p + v a) <= (left - v) hi,
-        # i.e. v (a - lo) <= -p - left lo and v (hi - a) <= p + left hi
-        vmin, vmax = 0, left
-        for p, a, lo, hi in zip(partial, vec, suffix_lo[j + 1], suffix_hi[j + 1]):
-            for d, r in ((a - lo, -p - left * lo), (hi - a, p + left * hi)):
-                if d > 0:
-                    if r < d * vmax:
-                        vmax = r // d
-                elif d < 0:
-                    if r < d * vmin:
-                        vmin = -(r // -d)
-                elif r < 0:
-                    return True
-            if vmin > vmax:
-                return True
+            for left in range(la, min(lb, cap - weight) + 1):
+                witness = [0] * n
+                for pos, i in enumerate(order):
+                    witness[i] = lam[pos]
+                witness[order[j]] = left
+                found.append((weight + left, tuple(witness)))
+                if first_only:
+                    cap = weight + left - 1
+                    break
+            return
+        # the child for lam_j = v keeps L - v units for positions j+1.., so
+        # it can live only if (L - v) lo <= -(p + v a) <= (L - v) hi for
+        # some L in [la, lb], i.e. v (a - lo) <= -p - L lo and
+        # v (hi - a) <= p + L hi at the L that makes each right side largest
+        vmin, vmax = 0, lb
+        for i, d, sign, c in steps[j]:
+            r = sign * partial[i] + (lb if c > 0 else la) * c
+            if d > 0:
+                if r < d * vmax:
+                    vmax = r // d
+            elif d < 0:
+                if r < d * vmin:
+                    vmin = -(r // -d)
+            elif r < 0:
+                return
+        if vmin > vmax:
+            return
+        vec = vecs[j]
         for v in range(vmin, vmax + 1):
-            lam[j] = v
-            keep_going = rec(j + 1, left - v,
-                             tuple(p + v * a for p, a in zip(partial, vec)))
-            lam[j] = 0
-            if not keep_going:
-                return False
-        return True
+            top = min(lb, cap - weight) - v
+            if top < 0:
+                break
+            child = tuple([p + v * a for p, a in zip(partial, vec)])
+            cla, clb = units(child, j + 1, la - v if la > v else 0, top)
+            if cla <= clb:
+                lam[j] = v
+                rec(j + 1, cla, clb, weight + v, child)
+        lam[j] = 0
 
     zero = (0,) * len(vecs[0])
-    for weight in range(1, max_weight + 1):
-        if not rec(0, weight, zero):
-            break
-    return found
+    la, lb = units(zero, 0, 1, max_weight)
+    if la <= lb:
+        rec(0, la, lb, 0, zero)
+    if first_only:
+        return [found[-1][1]] if found else []
+    found.sort(key=lambda f: f[0])
+    return [witness for _, witness in found]
 
 
 def min_vanishing(x: ExponentMatrix) -> tuple[int, VanishingCertificate]:
     """Least total weight p of a nonzero lam >= 0 with lam . row = 0 for
     every row, plus one witness attaining it.  Weight n always works (the
-    all-ones vector), so the level search terminates."""
+    all-ones vector), so the search always finds a witness."""
     found = vanishing_combinations(tuple(zip(*x.rows)), x.n, first_only=True)
     if not found:
-        raise AssertionError("unreachable: the all-ones vector annihilates all rows")
+        raise InternalCheckError(
+            "no annihilating combination found, though the all-ones vector "
+            "annihilates every row")
     return sum(found[0]), VanishingCertificate(found[0])
 
 

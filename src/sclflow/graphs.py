@@ -295,7 +295,8 @@ class Flow:
 
     def is_integral(self) -> bool:
         return all(
-            (isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1))
+            ((isinstance(v, int) and not isinstance(v, bool))
+             or (isinstance(v, Fraction) and v.denominator == 1))
             for row in self.entries for v in row)
 
     def support_edges(self) -> list[tuple[int, int]]:

@@ -1,12 +1,16 @@
 """Reference annihilation search, kept for tests only.
 
-This is `sclflow.bounds.vanishing_combinations` as it stood before its
-pruning was tightened: the same big-magnitude-first position order and the
-same depth-first walk over weight levels, but it cuts a subtree only when
-a partial sum exceeds the remaining weight times the largest remaining
-magnitude, and it calls every child before testing it.  The fast search
-prunes only subtrees without a witness, so in both modes the two must
-return the same list in the same order.
+This is the level-by-level search that `sclflow.bounds.vanishing_combinations`
+replaced, with the loose pruning it had before that: it restarts a
+depth-first walk from the root at each weight level 1, 2, ..., taking the
+positions big-magnitude first and trying lam_j = 0, 1, ... in turn.  It
+cuts a subtree only when a partial sum exceeds the remaining weight times
+the largest remaining magnitude, and it calls every child before testing it.
+
+The fast search walks each prefix once for every level together, in the
+same position order, and sorts its witnesses by weight.  Within one weight
+both meet the witnesses in the same lexicographic order, so in both modes
+the two must return the same list in the same order.
 """
 
 from __future__ import annotations

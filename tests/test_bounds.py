@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sclflow import bounds
 from sclflow.bounds import (
     generic_check,
     lower_bound,
@@ -16,7 +17,7 @@ from sclflow.bounds import (
     vanishing_combinations,
 )
 from sclflow.engine import conjecture_check
-from sclflow.errors import InputError
+from sclflow.errors import InputError, InternalCheckError
 from sclflow.words import make_word, matrix, parse_word
 
 F = Fraction
@@ -105,6 +106,18 @@ def test_lower_bound_commutator_is_zero():
 
 def test_lower_bound_universal_five():
     assert lower_bound(universal_word(5)) == F(3, 2)
+
+
+def test_lower_bound_largest_universal_word():
+    # n = 100 is the largest universal word the CLI builds; each side needs
+    # the all-ones combination, so the bound is (n/2)(1 - 2/n) = 49
+    assert lower_bound(universal_word(100)) == 49
+
+
+def test_min_vanishing_reports_a_failed_search(monkeypatch):
+    monkeypatch.setattr(bounds, "vanishing_combinations", lambda *args, **kw: [])
+    with pytest.raises(InternalCheckError):
+        min_vanishing(matrix(2, [[1, -1]]))
 
 
 def test_lower_bound_formula():

@@ -225,6 +225,15 @@ def test_is_essential_decomposable_vector():
     assert not is_essential(SPEC2, d)
 
 
+def test_bool_entries_are_not_integral():
+    # as errors.as_int does, integrality refuses bools, so True is no flow unit
+    d = Flow(2, ((0, True), (True, 0)))
+    assert not d.is_integral()
+    assert not is_disc_vector(SPEC2, d)
+    with pytest.raises(InputError):
+        is_essential(SPEC2, d)
+
+
 def test_is_extremal_two_cycle():
     rep = is_extremal(SPEC2, cycle_flow(2, [0, 1]), n_max=3)
     assert rep.is_extremal and rep.extremal_up_to == 3

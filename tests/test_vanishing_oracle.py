@@ -1,8 +1,11 @@
-"""The pruned annihilation search against the loosely pruned reference.
+"""The one-walk annihilation search against the level-by-level reference.
 
-Both walk the same positions in the same order and the fast search cuts
-only subtrees without a witness, so in both modes the two must return
-the same list in the same order, not just the same least weight.
+The reference walks each weight level from the root; the fast search walks
+each prefix once for all levels together, in the same position order, and
+cuts only subtrees that hold no wanted witness.  Within one weight both
+meet the witnesses in the same lexicographic order, and the fast search
+orders them by weight afterwards, so in both modes the two must return the
+same list in the same order, not just the same least weight.
 """
 
 import random
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_vanishing import vanishing_combinations as reference
 
-from sclflow.bounds import vanishing_combinations
+from sclflow.bounds import sample_generic_word, universal_word, vanishing_combinations
 from sclflow.hardness import instance, reduce_ss_to_smallscl
 
 REDUCTION_INPUTS = ([1, -1], [1, 2, -3], [2, -1, -1], [1, 2, 3], [3, -2, 1],
@@ -46,6 +49,26 @@ def test_degenerate_inputs():
     assert_same([(0,)], 2)
     assert_same([(), ()], 3)
     assert_same([(2, -1), (-2, 1)], 0)
+
+
+def test_least_weight_witness_after_a_heavier_one():
+    # walk order meets a weight-3 witness before the least one, of weight 2,
+    # so first-only mode must keep lowering its cap past the first witness
+    vectors = [(-3, 3), (-2, -3), (0, 1), (-1, -2), (2, 3), (1, -1), (-1, 0)]
+    assert [sum(lam) for lam in reference(vectors, 7, True)] == [2]
+    assert_same(vectors, 7)
+
+
+def test_zero_last_vector_takes_every_unit_count():
+    assert_same([(0,), (0,)], 2)
+    assert_same([(0, 0)], 3)
+    assert vanishing_combinations([(0, 0)], 3, False) == [(1,), (2,), (3,)]
+
+
+def test_multi_row_exponent_columns():
+    for x in (universal_word(6).x, sample_generic_word(8, 1).x):
+        columns = tuple(zip(*x.rows))
+        assert_same(columns, x.n)
 
 
 def test_reduction_collapsed_lists_and_tables():
