@@ -29,8 +29,8 @@ print()
 print("Vanishing-combination lower bounds:")
 for n in (3, 4, 5):
     w = universal_word(n)
-    p, cert = min_vanishing(w.x)
-    print(f"  n={n}: least vanishing weight p = {p} with witness {cert.lam}; "
+    p, lam = min_vanishing(w.x)
+    print(f"  n={n}: least vanishing weight p = {p} with witness {lam}; "
           f"lower bound {lower_bound(w)}")
 print()
 

@@ -86,7 +86,8 @@ def criterion_1() -> CriterionResult:
         res = scl(w)
         elapsed = time.perf_counter() - t0
         ok = (res.value == F(1, 2) and res.status == "stabilized"
-              and verify_certificate(res, w) and elapsed < 5.0)
+              and verify_certificate(res.certificate, res.value, w)
+              and elapsed < 5.0)
         return ok, f"value {res.value} ({res.status}), within the time cap"
     return _timed(run, 1, "two-generator mixed word has scl exactly 1/2")
 

@@ -11,7 +11,6 @@ words whose both sides admit no annihilating combination of weight < n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -25,15 +24,6 @@ GENERIC_MAX_TRIES = 2000
 # machine: 0.07 s at 12 blocks, 3.0 s at 16)
 UNIVERSAL_N_LIMIT = 100
 GENERIC_N_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class VanishingCertificate:
-    lam: tuple[int, ...]
-
-    @property
-    def weight(self) -> int:
-        return sum(self.lam)
 
 
 def vanishing_combinations(vectors, max_weight: int,
@@ -162,16 +152,16 @@ def vanishing_combinations(vectors, max_weight: int,
     return [witness for _, witness in found]
 
 
-def min_vanishing(x: ExponentMatrix) -> tuple[int, VanishingCertificate]:
+def min_vanishing(x: ExponentMatrix) -> tuple[int, tuple[int, ...]]:
     """Least total weight p of a nonzero lam >= 0 with lam . row = 0 for
-    every row, plus one witness attaining it.  Weight n always works (the
-    all-ones vector), so the search always finds a witness."""
+    every row, and one such lam attaining it, as (p, lam).  Weight n always
+    works (the all-ones vector), so the search always finds a witness."""
     found = vanishing_combinations(tuple(zip(*x.rows)), x.n, first_only=True)
     if not found:
         raise InternalCheckError(
             "no annihilating combination found, though the all-ones vector "
             "annihilates every row")
-    return sum(found[0]), VanishingCertificate(found[0])
+    return sum(found[0]), found[0]
 
 
 def lower_bound(w: Word) -> Fraction:

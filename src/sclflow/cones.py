@@ -441,6 +441,18 @@ def is_extremal(spec: ExponentMatrix, d: Flow, n_max: int = 2) -> ExtremalityRep
     pass over the box below 2*d, ending at the first member other than d
     and 2*d.  On the earlier levels the parts are kept lexicographically
     nondecreasing to cut permuted duplicates.
+
+    Up to n_max = 4, a strict cut (no part repeated among the first N - 1)
+    would return the same reports, since a level N >= 3 is reached only
+    when N = 2 found nothing.  Suppose a part q != d appears twice among the
+    first N - 1 parts.  Then 2q <= N*d <= 4d, so q <= 2d; q = 2d would
+    leave nothing for the other, nonzero, parts, so q is a member of the
+    box below 2*d other than d and 2d, and N = 2 has already returned.  If
+    q = d appears twice, the other parts make (N - 2)*d: d itself at
+    N = 3, and at N = 4 a decomposition of 2d, which N = 2 has also ruled
+    out.  So the first counterexample of a level repeats no part, and the
+    strict walk, which visits a subset of the same nodes in the same
+    order, meets it first too.
     """
     n_max = as_int(n_max)
     if n_max < 2:

@@ -26,6 +26,10 @@ bound above the LP value would falsify one of the two implementations, and
 `lower == value` certifies the value exact.  The value is reported as
 `stabilized` when it meets that lower bound, or when two consecutive bounds
 agree.  Nothing on this path is memoized.
+`verify_certificate` is the one checker of scl certificates: it re-derives
+a value from (v_A, v_B) and the two decompositions in integers, after
+scaling by one common denominator, for the LP's certificates and for the
+J-pair certificates of `hardness` alike.
 `conjecture_check` sets the computed value of a four-block family against
 its predicted closed form.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Optional
 
@@ -299,30 +304,45 @@ def conjecture_check(n_: int, p_: int, q_: int, r_: int,
     return ConjectureReport(n=n_, q=q_, predicted=predicted, computed=computed)
 
 
-def verify_certificate(result: SclResult, w: Word) -> bool:
-    """Re-derive the reported value from the certificate by exact arithmetic."""
-    cert = result.certificate
+def verify_certificate(certificate: SclCertificate, value: Fraction, w: Word) -> bool:
+    """Whether the certificate proves scl(w) <= value, by exact arithmetic.
+
+    The one checker of scl certificates, the LP's and `hardness`'s J-pair
+    ones alike.  v_A, v_B and every weight are first multiplied by one
+    common denominator L, so each check runs on ints: v_A and v_B have n
+    blocks and are paired, each side has one weight per part, both flows
+    have unit row and column sums and lie in their cones, every weight is
+    >= 0 and every part a disc vector of its side, each side's weighted
+    parts stay entrywise below its flow, and value = (n - kappa)/2 for the
+    total weight kappa.
+    """
+    cert = certificate
     n = w.n
     v_a, v_b = cert.v_a, cert.v_b
-    if v_a.n != n or v_b.n != n or not is_paired(v_a, v_b):
+    sides = ((cert.side_a, w.x), (cert.side_b, w.y))
+    if v_a.n != n or v_b.n != n or not is_paired(v_a, v_b) or \
+            any(len(side.weights) != len(side.parts) for side, _spec in sides):
         return False
-    for i in range(n):
-        if v_a.outflow(i) != 1 or v_a.inflow(i) != 1:
+    nn = n * n
+    ints, scale = int_scaled([e for v in (v_a, v_b) for row in v.entries for e in row]
+                             + [t for side, _spec in sides for t in side.weights])
+    rows = [tuple(ints[k:k + n]) for k in range(0, 2 * nn, n)]
+    flows = Flow(n, tuple(rows[:n])), Flow(n, tuple(rows[n:]))  # L * v_A, L * v_B
+    # v_B's unit sums and both cone tests follow from pairing, v_A's unit
+    # sums and exponent rows that sum to zero, so no certificate fails them
+    # alone; they stay as checks of their own
+    for v in flows:
+        if any(v.outflow(i) != scale or v.inflow(i) != scale for i in range(n)):
             return False
-        if v_b.outflow(i) != 1 or v_b.inflow(i) != 1:
-            return False
-    if not in_cone(w.x, v_a) or not in_cone(w.y, v_b):
+    if not all(in_cone(spec, v) for v, (_side, spec) in zip(flows, sides)):
         return False
-    for side, v, spec in ((cert.side_a, v_a, w.x), (cert.side_b, v_b, w.y)):
-        total = [[Fraction(0)] * n for _ in range(n)]
-        for t, d in zip(side.weights, side.parts):
+    m = 2 * nn + len(cert.side_a.weights)
+    for v, weights, (side, spec) in zip(flows, (ints[2 * nn:m], ints[m:]), sides):
+        room = list(chain.from_iterable(v.entries))  # L * v less the weighted parts
+        for t, d in zip(weights, side.parts):
             if t < 0 or not is_disc_vector(spec, d):
                 return False
-            for i in range(n):
-                for j in range(n):
-                    total[i][j] += t * d.entries[i][j]
-        for i in range(n):
-            for j in range(n):
-                if total[i][j] > v.entries[i][j]:
-                    return False
-    return result.value == (Fraction(n) - cert.kappa_sum()) / 2
+            room = [r - t * e for r, e in zip(room, chain.from_iterable(d.entries))]
+        if min(room) < 0:
+            return False
+    return value == Fraction(n * scale - sum(ints[2 * nn:]), 2 * scale)

@@ -12,7 +12,10 @@ Problem variants, over integer vectors of any fixed dimension:
 The chain SS -> SSP -> MIXEDSSP over vectors -> MIXEDSSP over integers ->
 threshold queries on scl of one-a-generator words is implemented end to
 end, with one decision per reduction step; `scl verify` criterion 7 and
-the tests check the steps against brute force.
+the tests check the steps against brute force.  The scl upper bound behind
+a positive threshold answer is a J-pair certificate, whose `certificate`
+is an scl certificate of the engine's kind, checked by
+`engine.verify_certificate`.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .bounds import lower_bound, vanishing_combinations
-from .cones import cone_spec, in_cone, is_disc_vector, is_essential
-from .engine import pair_flow
+from .cones import cone_spec, is_disc_vector, is_essential
+from .engine import SclCertificate, SideDecomposition, pair_flow, verify_certificate
 from .errors import InputError, InternalCheckError, LimitExceeded, PromiseViolation, as_int
-from .graphs import Flow, flow_from_edges, hamiltonian_cycles, zero_flow
+from .graphs import Flow, flow_from_edges, hamiltonian_cycles
 from .words import ExponentMatrix, Word, make_word
 
 SS_BRUTE_LIMIT = 16
@@ -298,9 +301,7 @@ class JPairCertificate:
     x: tuple[int, ...]
     j_set: tuple[int, ...]
     count: int  # number of paired cycle sums, (n - |J| - 1)!
-    v_a: Flow
-    v_b: Flow
-    parts_a: tuple[Flow, ...]  # 2*count disc vectors, each with weight 1/count
+    certificate: SclCertificate  # checked by engine.verify_certificate
     certified_upper: Fraction
 
     @property
@@ -317,11 +318,14 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
     """Certified scl upper bound n/2 - 1 - 1/(2N) for the one-a-generator
     word of x, from a set J of indices with zero sum.
 
-    N = (n - |J| - 1)! paired cycle sums cover every edge inside J and
-    inside its complement; the normalized sum v_A decomposes into 2N disc
-    vectors of weight 1/N each, and N times its paired partner is a single
-    disc vector of the b-side cone.  Both decomposition facts are verified
-    here by exact arithmetic, as is connectivity of the partner's support.
+    N = (n - |J| - 1)! paired cycle sums, each a Hamiltonian cycle inside
+    J and one inside its complement, make an scl certificate of the
+    engine's kind: side A holds the 2N cycles at weight 1/N each, so v_A is
+    their sum over N, and side B holds N times v_A's paired partner v_B, at
+    weight 1/N.  `engine.verify_certificate`, the one checker of scl
+    certificates, decides that the cycles and the partner are disc vectors,
+    that v_A is a unit-outflow cone member and that the certificate proves
+    the bound; an InternalCheckError is raised if it does not.
     """
     xs = tuple(map(as_int, x))
     n = len(xs)
@@ -347,44 +351,24 @@ def j_pair_certificate(x: Sequence[int], j_set: Sequence[int]) -> JPairCertifica
     comp_cycles = hamiltonian_cycles(comp, n)
     if len(comp_cycles) != n_pairs:
         raise InternalCheckError("complement cycle count mismatch")
-    total = zero_flow(n)
-    parts = []
-    for i, d in enumerate(comp_cycles):
-        c = j_cycles[i % len(j_cycles)]
-        total = total.add(c).add(d)
-        parts.extend([c, d])
-    # nonzero flow on every edge inside J and inside the complement
-    for group in (j_sorted, comp):
-        for s in group:
-            for t in group:
-                if s != t and total.entries[s][t] == 0:
-                    raise InternalCheckError(
-                        "paired cycle sums left an internal edge uncovered")
-
-    w = small_scl_instance(xs)
-    v_a = total.scale(Fraction(1, n_pairs))
-    if not in_cone(w.x, v_a):
-        raise InternalCheckError("normalized sum left the a-side cone")
-    if any(v_a.outflow(i) != 1 for i in range(n)):
-        raise InternalCheckError("normalized sum is not unit-outflow")
-    for part in parts:
-        if not is_disc_vector(w.x, part):
-            raise InternalCheckError("a cycle part is not an a-side disc vector")
-
-    v_b = pair_flow(v_a)
-    scaled_b = v_b.scale(n_pairs)
-    if not scaled_b.is_integral():
-        raise InternalCheckError("partner flow failed to scale to integers")
-    int_b = Flow(n, tuple(tuple(int(v) for v in row) for row in scaled_b.entries))
-    if not is_disc_vector(w.y, int_b):
-        raise InternalCheckError(
-            "partner support is not connected; this contradicts the interval "
-            "argument")
-    # kappa_x(v_A) >= 2 from the 2N parts at weight 1/N; kappa_y(v_B) >= 1/N
+    parts = [c for i, d in enumerate(comp_cycles)
+             for c in (j_cycles[i % len(j_cycles)], d)]
+    total = Flow(n, tuple(tuple(map(sum, zip(*rows)))
+                          for rows in zip(*(p.entries for p in parts))))
+    weight = Fraction(1, n_pairs)
+    v_a = total.scale(weight)
+    cert = SclCertificate(
+        v_a=v_a, v_b=pair_flow(v_a),
+        side_a=SideDecomposition((weight,) * len(parts), tuple(parts)),
+        side_b=SideDecomposition((weight,), (pair_flow(total),)))
+    # kappa = 2N * (1/N) + 1/N
     certified = Fraction(n, 2) - 1 - Fraction(1, 2 * n_pairs)
-    return JPairCertificate(x=xs, j_set=j_sorted, count=n_pairs, v_a=v_a,
-                            v_b=v_b, parts_a=tuple(parts),
-                            certified_upper=certified)
+    if not verify_certificate(cert, certified, small_scl_instance(xs)):
+        raise InternalCheckError(
+            f"the J-pair certificate for J={list(j_sorted)} does not prove "
+            f"scl <= {certified}")
+    return JPairCertificate(x=xs, j_set=j_sorted, count=n_pairs,
+                            certificate=cert, certified_upper=certified)
 
 
 @dataclass(frozen=True)

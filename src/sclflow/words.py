@@ -18,8 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import InputError, ParseError, as_int
+from .errors import InputError, LimitExceeded, ParseError, as_int
 
+# the exponent matrix has one row per generator index up to the largest
+# subscript; `universal_word` at its cap of 100 blocks uses subscripts 1..99
+GENERATOR_LIMIT = 100
 _TOKEN_RE = re.compile(r"^([ab])([1-9][0-9]*)?(?:\^(-?[1-9][0-9]*))?$")
 
 
@@ -81,9 +84,10 @@ def parse_word(text: str) -> Word:
     """Parse whitespace-separated generator tokens into a Word.
 
     Grammar per token: ("a"|"b") subscript? ("^" exponent)?, subscript a
-    positive decimal defaulting to 1, exponent a nonzero integer defaulting
-    to 1.  Blocks must alternate a, b, a, b, ... starting with a and ending
-    with b; exponents of a repeated generator within a block are summed.
+    positive decimal defaulting to 1 and at most GENERATOR_LIMIT, exponent
+    a nonzero integer defaulting to 1.  Blocks must alternate a, b, a, b,
+    ... starting with a and ending with b; exponents of a repeated
+    generator within a block are summed.
     """
     tokens = text.split()
     if not tokens:
@@ -94,6 +98,11 @@ def parse_word(text: str) -> Word:
         if not m:
             raise ParseError(f"malformed token {tok!r}")
         alpha, sub, exp = m.group(1), m.group(2), m.group(3)
+        # the digit count is tested first: Python refuses to convert
+        # strings of more than 4300 digits
+        if sub and (len(sub) > len(str(GENERATOR_LIMIT)) or int(sub) > GENERATOR_LIMIT):
+            raise LimitExceeded(
+                f"generator subscripts limited to {GENERATOR_LIMIT}, got {tok!r}")
         gen = int(sub) if sub else 1
         e = int(exp) if exp else 1
         if blocks and blocks[-1][0] == alpha:

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+import reference_certificate
 from test_simplex_oracle import _with_columns
 
 from sclflow.bounds import lower_bound, universal_word
 from sclflow.cones import cone_spec, in_cone
 from sclflow.engine import (
     SclCertificate,
-    SclResult,
     SideDecomposition,
     conjecture_check,
     klein_value,
@@ -91,7 +92,7 @@ def test_scl_mixed_generator_word():
     w = parse_word("a1 b1 b2 a1^-1 b1^-1 b2^-1")
     res = scl(w)
     assert res.value == F(1, 2)
-    assert verify_certificate(res, w)
+    assert verify_certificate(res.certificate, res.value, w)
 
 
 def test_scl_universal_words():
@@ -127,14 +128,14 @@ def test_scl_certificates_on_random_words():
     for _ in range(25):
         w = _random_word(rng, rng.randint(2, 3))
         res = scl(w, bound=2)
-        assert verify_certificate(res, w)
+        assert verify_certificate(res.certificate, res.value, w)
         assert lower_bound(w) <= res.value
 
 
 def test_certificate_on_universal_word():
     w = universal_word(4)
     res = scl(w)
-    assert verify_certificate(res, w)
+    assert verify_certificate(res.certificate, res.value, w)
     cert = res.certificate
     n = w.n
     for i in range(n):
@@ -395,20 +396,83 @@ def test_seed_1_benchmark_pass_pivot_count(monkeypatch, name, pivots):
     assert count == pivots
 
 
+def _checked(cert, value, w) -> bool:
+    """The engine's verdict on a certificate, after asserting that the
+    reference Fraction checker gives the same one."""
+    got = verify_certificate(cert, value, w)
+    ref = reference_certificate.verify_certificate(
+        SimpleNamespace(certificate=cert, value=value), w)
+    assert got == ref
+    return got
+
+
 def test_certificate_with_a_forged_part_is_refused():
     # one part per side, v/10 with weight 10, claims kappa 20 and value -9;
     # the parts are cone members but not integral, so not disc vectors
     w = parse_word("a b a^-1 b^-1")
-    res = scl(w)
-    cert = res.certificate
+    cert = scl(w).certificate
     forged = SclCertificate(
         v_a=cert.v_a, v_b=cert.v_b,
         side_a=SideDecomposition((F(10),), (cert.v_a.scale(F(1, 10)),)),
         side_b=SideDecomposition((F(10),), (cert.v_b.scale(F(1, 10)),)))
-    claim = SclResult(value=F(-9), lower=res.lower, status=res.status,
-                      bound_used=res.bound_used, certificate=forged)
     assert (w.n - forged.kappa_sum()) / 2 == -9
-    assert not verify_certificate(claim, w)
+    assert not _checked(forged, F(-9), w)
+
+
+def _commutator_forgeries():
+    """Forged certificates for the commutator, each refused by exactly one
+    check, with the value each claims.  Its true certificate has v_A the
+    2-cycle, carried by that cycle at weight 1 on side A, and nothing on
+    side B.  No forgery is refused only by v_B's unit sums or by a cone
+    test: those follow from pairing, v_A's unit sums and exponent rows
+    that sum to zero."""
+    cycle = cycle_flow(2, [0, 1])
+    double = cycle.scale(2)
+    no_parts = SideDecomposition((), ())
+    return {
+        "v_A-not-unit": (SclCertificate(
+            double, pair_flow(double),
+            SideDecomposition((F(1),), (cycle,)), no_parts), F(1, 2)),
+        "parts-above-v": (SclCertificate(
+            cycle, pair_flow(cycle),
+            SideDecomposition((F(2),), (cycle,)), no_parts), F(0)),
+        "negative-weight": (SclCertificate(
+            cycle, pair_flow(cycle), SideDecomposition((F(1),), (cycle,)),
+            SideDecomposition((F(-1),), (cycle,))), F(1)),
+    }
+
+
+def test_commutator_certificate_is_the_forgeries_base():
+    w = parse_word("a b a^-1 b^-1")
+    res = scl(w)
+    cycle = cycle_flow(2, [0, 1])
+    assert res.certificate == SclCertificate(
+        cycle, pair_flow(cycle),
+        SideDecomposition((F(1),), (cycle,)), SideDecomposition((), ()))
+    assert _checked(res.certificate, res.value, w)
+
+
+@pytest.mark.parametrize("name", sorted(_commutator_forgeries()))
+def test_forged_certificates_are_refused(name):
+    cert, value = _commutator_forgeries()[name]
+    w = parse_word("a b a^-1 b^-1")
+    assert (w.n - cert.kappa_sum()) / 2 == value
+    assert not _checked(cert, value, w)
+
+
+def test_a_weight_without_a_part_is_refused():
+    # the reference checker zips weights with parts, so it drops the extra
+    # weight from every check but counts it in kappa, and accepts scl <= -9/2
+    w = parse_word("a b a^-1 b^-1")
+    cert = scl(w).certificate
+    forged = SclCertificate(
+        cert.v_a, cert.v_b,
+        SideDecomposition(cert.side_a.weights + (F(10),), cert.side_a.parts),
+        cert.side_b)
+    assert (w.n - forged.kappa_sum()) / 2 == F(-9, 2)
+    assert not verify_certificate(forged, F(-9, 2), w)
+    assert reference_certificate.verify_certificate(
+        SimpleNamespace(certificate=forged, value=F(-9, 2)), w)
 
 
 @pytest.mark.parametrize("cert_word, w", [
@@ -417,7 +481,8 @@ def test_certificate_with_a_forged_part_is_refused():
 ], ids=["fewer-blocks", "more-blocks"])
 def test_certificate_of_another_size_is_refused(cert_word, w):
     # the fewer-blocks case used to index past the certificate's flows
-    assert not verify_certificate(scl(parse_word(cert_word)), w)
+    res = scl(parse_word(cert_word))
+    assert not _checked(res.certificate, res.value, w)
 
 
 def test_certificates_hold_on_a_seeded_corpus():
@@ -433,7 +498,10 @@ def test_certificates_hold_on_a_seeded_corpus():
     for w, bound in corpus:
         for stabilize in (True, False):
             res = scl(w, bound=bound, stabilize=stabilize)
-            assert verify_certificate(res, w), (render_word(w), bound, stabilize)
+            assert _checked(res.certificate, res.value, w), \
+                (render_word(w), bound, stabilize)
+            # the same certificate does not prove any other value
+            assert not _checked(res.certificate, res.value - F(1, 7), w)
 
 
 @pytest.mark.parametrize("bound", [2.5, True])

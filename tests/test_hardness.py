@@ -6,7 +6,7 @@ import pytest
 
 from sclflow import hardness
 from sclflow.cones import is_essential
-from sclflow.errors import InputError, LimitExceeded, PromiseViolation
+from sclflow.errors import InputError, InternalCheckError, LimitExceeded, PromiseViolation
 from sclflow.hardness import (
     SS_BRUTE_LIMIT,
     append_balance,
@@ -22,7 +22,7 @@ from sclflow.hardness import (
     solve_subset,
     verify_table_properties,
 )
-from sclflow.graphs import mdgraph
+from sclflow.graphs import cycle_flow, mdgraph
 from sclflow.synth import lemma_numbers, step2_weights, step3_concretize
 from sclflow.words import render_word
 
@@ -226,11 +226,46 @@ def test_small_scl_instance_words():
 
 
 def test_j_pair_certificate_example():
-    cert = j_pair_certificate([1, 1, -1, -1, 2, -2], [0, 2])
+    from types import SimpleNamespace
+
+    import reference_certificate
+    from sclflow.engine import verify_certificate
+
+    xs = [1, 1, -1, -1, 2, -2]
+    cert = j_pair_certificate(xs, [0, 2])
     assert cert.count == 6
     assert cert.certified_upper == F(23, 12)
-    # v_A decomposes into 2N unit-weight-over-N disc parts
-    assert len(cert.parts_a) == 12
+    # v_A decomposes into 2N disc parts of weight 1/N, and v_B is N * v_B
+    # at weight 1/N
+    scl_cert = cert.certificate
+    assert len(scl_cert.side_a.parts) == 12
+    assert set(scl_cert.side_a.weights) == {F(1, 6)}
+    assert scl_cert.side_b.weights == (F(1, 6),)
+    assert scl_cert.side_b.parts[0] == scl_cert.v_b.scale(6)
+    w = small_scl_instance(xs)
+    assert verify_certificate(scl_cert, cert.certified_upper, w)
+    assert reference_certificate.verify_certificate(
+        SimpleNamespace(certificate=scl_cert, value=cert.certified_upper), w)
+
+
+def test_j_pair_certificate_with_a_non_disc_part_is_refused(monkeypatch):
+    # the first complement cycle 1 -> 3 -> 4 -> 5 -> 1 is swapped for the
+    # two 2-cycles 1 <-> 3 and 4 <-> 5: the same unit flow through each
+    # vertex and a cone member, but not strongly connected, so not a disc
+    xs = [1, 1, -1, -1, 2, -2]
+    real = hardness.hamiltonian_cycles
+    split = cycle_flow(6, [1, 3]).add(cycle_flow(6, [4, 5]))
+
+    def swapped(subset, n):
+        cycles = real(subset, n)
+        if tuple(subset) == (1, 3, 4, 5):
+            assert cycles[0] == cycle_flow(6, [1, 3, 4, 5])
+            cycles[0] = split
+        return cycles
+
+    monkeypatch.setattr(hardness, "hamiltonian_cycles", swapped)
+    with pytest.raises(InternalCheckError, match="does not prove"):
+        j_pair_certificate(xs, [0, 2])
 
 
 def test_j_pair_rejects_adjacent_pair():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sclflow.errors import InputError, ParseError
+from sclflow.errors import InputError, LimitExceeded, ParseError
 from sclflow.words import (
+    GENERATOR_LIMIT,
     ExponentMatrix,
     make_word,
     matrix,
@@ -71,6 +72,20 @@ def test_render_universal_three():
     from sclflow.bounds import universal_word
 
     assert render_word(universal_word(3)) == "a1 a2 b1 b2 a1^-1 b1^-1 a2^-1 b2^-1"
+
+
+def test_generator_subscripts_past_the_cap_are_refused():
+    from sclflow.bounds import UNIVERSAL_N_LIMIT, universal_word
+
+    # every word `scl universal` prints parses back
+    w = universal_word(UNIVERSAL_N_LIMIT)
+    assert parse_word(render_word(w)) == w
+    top = f"a{GENERATOR_LIMIT} b a{GENERATOR_LIMIT}^-1 b^-1"
+    assert parse_word(top).x.rows[-1] == (1, -1)
+    # 5000 digits are more than Python converts to an int
+    for sub in (str(GENERATOR_LIMIT + 1), "1" * 5000):
+        with pytest.raises(LimitExceeded):
+            parse_word(f"a b a{sub} b^-1")
 
 
 def test_reduced_length():
