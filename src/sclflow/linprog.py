@@ -10,13 +10,20 @@ simplex with Bland's anti-cycling pivot rule, which makes it deterministic
 for a fixed input.  Inside, it works on a sparse integer tableau: each row
 is a map from column to nonzero int plus an int rhs over one positive int
 denominator, and pivots are fraction-free (Edmonds) eliminations that touch
-only the rows with an entry in the pivot column.  Its columns are the LP's
-variables (column j is variable j), then one slack per inequality, then the
-artificials, then the variables that `resume_lp` appends to an optimum;
-only the artificials are barred from entering phase 2.  A resumed solve
-runs phase 2 alone.  `solve_square_int` solves square integer systems
-fraction-free as well (Bareiss), and `int_scaled` is the one place
-rationals are brought to a common denominator.
+only the rows with an entry in the pivot column.  Every row is kept with
+no common factor, and each step does only the work that can change it:
+an elimination takes a gcd only when the row's new denominator is not 1
+(the pivot row, the first rows and appended columns never need one, as
+`pivot`, `_initial_tableau` and `_appended` say), scales the row only
+when the pivot entry is not 1, and a constraint row of ints skips
+`int_scaled`.  Which pivots happen does not depend on any of it.  The
+columns are the LP's variables (column j is variable j), then one slack
+per inequality, then the artificials, then the variables that
+`resume_lp` appends to an optimum; only the artificials are barred from
+entering phase 2.  A resumed solve runs phase 2 alone.
+`solve_square_int` solves square integer systems fraction-free as well
+(Bareiss), and `int_scaled` is the one place rationals are brought to a
+common denominator.
 
 A brute-force vertex enumerator serves as an independent oracle for the
 simplex.
@@ -76,7 +83,11 @@ def rat_from_json(obj) -> Fraction:
 
 def int_scaled(values) -> tuple[list[int], int]:
     """Rationals (ints or Fractions) times the lcm L of their denominators,
-    as ints, together with L (1 when there are no values)."""
+    as ints, together with L (1 when there are no values).
+
+    L and the ints have no common factor: a prime that divides L divides
+    some value's denominator as often as it divides L, so it does not
+    divide that value's int."""
     vals = list(values)
     scale = lcm(*(v.denominator for v in vals))
     return [v.numerator * (scale // v.denominator) for v in vals], scale
@@ -241,8 +252,9 @@ def _rational(x):
 
 def _split(row, dim: int) -> dict:
     """The nonzero entries of a sparse map {index: coefficient} over 0..dim-1:
-    a constraint row over the variables or a column over the rows."""
-    if not isinstance(row, Mapping):
+    a constraint row over the variables or a column over the rows.  A dict
+    and an int entry pass their checks by type alone."""
+    if type(row) is not dict and not isinstance(row, Mapping):
         raise InputError(f"sparse row or column is a {type(row).__name__}, "
                          "not a map {index: coefficient}")
     out = {}
@@ -250,17 +262,11 @@ def _split(row, dim: int) -> dict:
         if not (isinstance(i, int) and 0 <= i < dim):
             raise InputError(f"sparse row or column names index {i!r}, "
                              f"outside 0..{dim - 1}")
-        if _rational(c):
+        if type(c) is not int:
+            _rational(c)
+        if c:
             out[i] = c
     return out
-
-
-def _reduce(row: dict, rhs: int, den: int) -> tuple[dict, int, int]:
-    """Divide a tableau row, its rhs and its denominator by their gcd."""
-    g = gcd_int(den, rhs, *row.values())
-    if g == 1:
-        return row, rhs, den
-    return {j: v // g for j, v in row.items()}, rhs // g, den // g
 
 
 def _eliminate(row: dict, rhs: int, den: int, prow: dict, prhs: int,
@@ -269,24 +275,46 @@ def _eliminate(row: dict, rhs: int, den: int, prow: dict, prhs: int,
     its positive denominator p: row <- p*row - row[c]*prow, den <- den*p.
 
     This is one fraction-free (Edmonds) elimination step; dividing by the
-    gcd afterwards keeps the integers as small as the row allows.
+    gcd afterwards keeps the integers as small as the row allows.  Two
+    shortcuts are exact: when p is 1 the row is copied, not scaled, and
+    when the new denominator is 1 the row is reduced already, since the
+    gcd of 1 with anything is 1.  The result is always a new map, never
+    `row` edited, because `_Tableau.copy` shares the row maps.
     """
     p = prow[c]
     f = row[c]
-    new = dict(row) if p == 1 else {j: p * v for j, v in row.items()}
+    if p == 1:
+        new = dict(row)
+    else:
+        new = {j: p * v for j, v in row.items()}
+        rhs *= p
+        den *= p
     for j, v in prow.items():
-        x = new.get(j, 0) - f * v
-        if x:
-            new[j] = x
+        if j in new:
+            x = new[j] - f * v
+            if x:
+                new[j] = x
+            else:
+                del new[j]
         else:
-            del new[j]
-    return _reduce(new, p * rhs - f * prhs, den * p)
+            new[j] = -f * v
+    rhs -= f * prhs
+    if den == 1:
+        return new, rhs, den
+    g = gcd_int(den, rhs, *new.values())
+    if g == 1:
+        return new, rhs, den
+    return {j: v // g for j, v in new.items()}, rhs // g, den // g
 
 
 def _appended(row: dict, rhs: int, den: int,
               entries: dict) -> tuple[dict, int, int]:
     """A row with new columns {column: entry times den}, the entries ints
-    or `Fraction`s; the row is scaled by their common denominator."""
+    or `Fraction`s; the row is scaled by their common denominator L.
+
+    The result needs no gcd: the old part, reduced before, has gcd L after
+    scaling, and L has no factor in common with the new ints (see
+    `int_scaled`)."""
     entries = {j: x for j, x in entries.items() if x}
     if not entries:
         return row, rhs, den
@@ -294,7 +322,7 @@ def _appended(row: dict, rhs: int, den: int,
     if scale > 1:
         row = {j: v * scale for j, v in row.items()}
         rhs, den = rhs * scale, den * scale
-    return _reduce({**row, **dict(zip(entries, ints))}, rhs, den)
+    return {**row, **dict(zip(entries, ints))}, rhs, den
 
 
 class _Tableau:
@@ -407,17 +435,22 @@ class _Tableau:
 
     def pivot(self, r: int, c: int) -> None:
         """Make column c basic in row r.  Only the rows with an entry in
-        column c change."""
-        prow, prhs = self.rows[r], self.rhs[r]
-        if prow[c] < 0:
+        column c change.
+
+        The pivot row, negated if its entry is negative, takes the entry's
+        size as its denominator and needs no gcd: the row held its old
+        denominator as the entry of its basic column, so the gcd of its
+        entries and rhs alone was already 1."""
+        rows, rhs, den = self.rows, self.rhs, self.den
+        prow, prhs = rows[r], rhs[r]
+        p = prow[c]
+        if p < 0:
             prow = {j: -v for j, v in prow.items()}
-            prhs = -prhs
-        prow, prhs, p = _reduce(prow, prhs, prow[c])
-        self.rows[r], self.rhs[r], self.den[r] = prow, prhs, p
-        for i, row in enumerate(self.rows):
-            if i != r and c in row:
-                self.rows[i], self.rhs[i], self.den[i] = _eliminate(
-                    row, self.rhs[i], self.den[i], prow, prhs, c)
+            prhs, p = -prhs, -p
+        rows[r], rhs[r], den[r] = prow, prhs, p
+        for i in [i for i, row in enumerate(rows) if c in row and i != r]:
+            rows[i], rhs[i], den[i] = _eliminate(rows[i], rhs[i], den[i],
+                                                 prow, prhs, c)
         if c in self.obj:
             self.obj, self.obj_rhs, self.obj_den = _eliminate(
                 self.obj, self.obj_rhs, self.obj_den, prow, prhs, c)
@@ -445,14 +478,14 @@ class _Tableau:
         crosswise), ties broken by the smallest basic variable index.
         """
         while True:
-            enter = min((j for j, v in self.obj.items()
-                         if v > 0 and j not in barred), default=None)
+            enter = min([j for j, v in self.obj.items()
+                         if v > 0 and j not in barred], default=None)
             if enter is None:
                 return "optimal"
             leave = None
             best_rhs = best_a = 0
-            for i, row in enumerate(self.rows):
-                a = row.get(enter, 0)
+            for i, a in [(i, row[enter]) for i, row in enumerate(self.rows)
+                         if enter in row]:
                 if a > 0:
                     left, right = self.rhs[i] * best_a, best_rhs * a
                     if leave is None or left < right or (
@@ -462,17 +495,13 @@ class _Tableau:
                 return "unbounded"
             self.pivot(leave, enter)
 
-    def value_of(self, r: int) -> Fraction:
-        return Fraction(self.rhs[r], self.den[r])
-
-    def reduced_cost(self, c: int) -> Fraction:
-        return Fraction(self.obj.get(c, 0), self.obj_den)
-
 
 def _initial_tableau(lp: LinearProgram) -> _Tableau:
     """The tableau of `lp` at its first basis: each row scaled to ints, with
     its rhs made nonnegative, and its slack basic where that has coefficient
-    +1, else a new artificial."""
+    +1, else a new artificial.  A row of ints is taken as it is, over
+    denominator 1; any other is scaled by `int_scaled`, whose ints have no
+    factor in common with the scale, so no row needs a gcd."""
     dim = lp.dim()
     n_eq, nslack = len(lp.eq_constraints), len(lp.ineq_constraints)
     # equalities first, then inequalities, whose slack columns follow the
@@ -482,9 +511,13 @@ def _initial_tableau(lp: LinearProgram) -> _Tableau:
     nart = 0
     for i, (row, b) in enumerate((*lp.eq_constraints, *lp.ineq_constraints)):
         coefs = _split(row, dim)
-        ints, scale = int_scaled([*coefs.values(), _rational(b)])
-        irow = dict(zip(coefs, ints))  # zip leaves out the rhs, ints[-1]
-        irhs = ints[-1]
+        b = _rational(b)
+        if type(b) is int and all(type(v) is int for v in coefs.values()):
+            irow, irhs, scale = coefs, b, 1  # _split made coefs a new map
+        else:
+            ints, scale = int_scaled([*coefs.values(), b])
+            irow = dict(zip(coefs, ints))  # zip leaves out the rhs, ints[-1]
+            irhs = ints[-1]
         slack = dim + i - n_eq if i >= n_eq else None
         if slack is not None:
             irow[slack] = scale
@@ -500,10 +533,9 @@ def _initial_tableau(lp: LinearProgram) -> _Tableau:
             irow[art_base + nart] = scale
             basis.append(art_base + nart)
             nart += 1
-        irow, irhs, d = _reduce(irow, irhs, scale)
         rows.append(irow)
         rhs.append(irhs)
-        den.append(d)
+        den.append(scale)
     return _Tableau([_rational(c) for c in lp.objective], n_eq, rows, rhs, den,
                     basis, sign, range(art_base, art_base + nart))
 
@@ -562,19 +594,27 @@ def _phase2(tab: _Tableau, phase1: int) -> LPResult:
         return LPResult(status="unbounded", phase1_pivots=phase1,
                         phase2_pivots=tab.pivots - phase1)
 
-    values = {b: tab.value_of(r) for r, b in enumerate(tab.basis)}
-    witness = tuple(values.get(tab.column(v), Fraction(0))
-                    for v in range(len(tab.objective)))
-    value = sum((c * w for c, w in zip(tab.objective, witness)), Fraction(0))
+    # the nonzero basic variables: column j < dim is variable j, and a
+    # column past the artificials is variable j - shift
+    zero = Fraction(0)
+    dim, shift = tab.dim, tab.barred.stop - tab.dim
+    values = {b if b < dim else b - shift: Fraction(tab.rhs[r], tab.den[r])
+              for r, b in enumerate(tab.basis)
+              if tab.rhs[r] and (b < dim or b >= tab.barred.stop)}
+    witness = tuple(values.get(v, zero) for v in range(len(tab.objective)))
+    value = sum((tab.objective[v] * x for v, x in values.items()), zero)
+
+    def dual(c, s):
+        """-s times the reduced cost of column c."""
+        y = tab.obj.get(c)
+        return Fraction(-s * y, tab.obj_den) if y else zero
 
     # duals: the reduced cost of a slack column is -y for its (stored) row,
     # and the slack sign flip cancels the row sign flip, so an ineq dual is
     # always -obj[slack].  Equality duals read off the artificial column,
     # which was attached after normalization, so the row sign reappears.
-    eq_duals = tuple(-tab.sign[i] * tab.reduced_cost(tab.ident[i])
-                     for i in range(tab.n_eq))
-    ineq_duals = tuple(-tab.reduced_cost(tab.dim + k)
-                       for k in range(len(tab.rows) - tab.n_eq))
+    eq_duals = tuple(dual(tab.ident[i], tab.sign[i]) for i in range(tab.n_eq))
+    ineq_duals = tuple(dual(dim + k, 1) for k in range(len(tab.rows) - tab.n_eq))
     return LPResult(status="optimal", value=value, witness=witness,
                     eq_duals=eq_duals, ineq_duals=ineq_duals,
                     phase1_pivots=phase1, phase2_pivots=tab.pivots - phase1,

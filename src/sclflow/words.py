@@ -104,7 +104,12 @@ def parse_word(text: str) -> Word:
             raise LimitExceeded(
                 f"generator subscripts limited to {GENERATOR_LIMIT}, got {tok!r}")
         gen = int(sub) if sub else 1
-        e = int(exp) if exp else 1
+        try:
+            e = int(exp) if exp else 1
+        except ValueError:  # the regex admits digits only: too many of them
+            raise LimitExceeded(
+                f"exponent of {len(exp.lstrip('-'))} digits is longer than "
+                "Python converts to an int") from None
         if blocks and blocks[-1][0] == alpha:
             acc = blocks[-1][1]
             acc[gen] = acc.get(gen, 0) + e

@@ -381,15 +381,17 @@ def test_gadget_essential_refuses_more_than_sixteen_values(capsys):
     (["synth", "--graph", "{graph}"],
      {"graph": {"vertices": 10000, "edges": [[0, 0]]}}, 2),
     (["compute", "a2000000 b a2000000^-1 b^-1"], {}, 3),
+    (["compute", "a^1" + "0" * 5000 + " b a^-1 b^-1"], {}, 3),
 ], ids=["smallscl-17-powers", "essential-35-blocks", "synth-4-edges",
         "universal-101", "generic-13", "synth-101-edges", "synth-10000-vertices",
-        "subscript-2000000"])
+        "subscript-2000000", "exponent-5001-digits"])
 def test_searches_past_their_caps_are_refused(tmp_path, capsys, argv, files, code):
     # uncapped, the first ran for minutes, the next two ended in a
     # RecursionError traceback, the synth-10000-vertices case answered only
     # after a component search quadratic in the vertices, though a graph
-    # with fewer edges than vertices cannot be strongly connected, and the
-    # last allocated one exponent row per subscript up to 2000000
+    # with fewer edges than vertices cannot be strongly connected, the
+    # subscript case allocated one exponent row per subscript up to 2000000,
+    # and the last ended in a ValueError traceback from int()
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     argv = [a.format(**{k: tmp_path / f"{k}.json" for k in files}) for a in argv]

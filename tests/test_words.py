@@ -88,6 +88,17 @@ def test_generator_subscripts_past_the_cap_are_refused():
             parse_word(f"a b a{sub} b^-1")
 
 
+def test_exponents_longer_than_python_converts_are_refused():
+    # Python converts at most 4300 digits to an int; 4000 still parse
+    e = "1" + "0" * 3999
+    assert parse_word(f"a^{e} b a^-{e} b^-1").x.rows == ((10 ** 3999, -10 ** 3999),)
+    long = "1" + "0" * 5000
+    for tok in (f"a^{long}", f"a^-{long}"):
+        with pytest.raises(LimitExceeded, match="5001 digits") as info:
+            parse_word(f"{tok} b a^-1 b^-1")
+        assert long not in str(info.value)
+
+
 def test_reduced_length():
     assert reduced_length(parse_word("a b a^-1 b^-1")) == 4
     assert reduced_length(parse_word("a1 b1 b2 a1^-1 b1^-1 b2^-1")) == 4
