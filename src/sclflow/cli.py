@@ -187,9 +187,14 @@ def cmd_gadget_smallscl(args):
     vals = _parse_values(args.values)
     w = small_scl_instance(vals)
     decision = decide_small_scl(vals)
-    payload = {"word": render_word(w), "below_threshold": decision.answer,
+    # the pre-check's cancelling pair is a proper zero-sum subset; it says
+    # nothing of scl unless the promise holds, which it does not test
+    key, label = (("zero_sum_subset", "proper zero-sum subset")
+                  if decision.route == "precheck"
+                  else ("below_threshold", "scl below threshold"))
+    payload = {"word": render_word(w), key: decision.answer,
                "route": decision.route, "detail": decision.detail}
-    return payload, (f"word: {render_word(w)}\nscl below threshold: "
+    return payload, (f"word: {render_word(w)}\n{label}: "
                      f"{decision.answer} via {decision.route} ({decision.detail})")
 
 
@@ -216,8 +221,7 @@ def cmd_synth(args):
 
 
 def cmd_conjecture(args):
-    n = args.p + args.q + args.r
-    report = conjecture_check(n, args.p, args.q, args.r, bound=args.bound)
+    report = conjecture_check(args.p, args.q, args.r, bound=args.bound)
     payload = {"predicted": rat_to_json(report.predicted),
                "computed": rat_to_json(report.computed.value),
                "status": report.computed.status,

@@ -290,14 +290,15 @@ class ConjectureReport:
         return self.computed.value == self.predicted
 
 
-def conjecture_check(n_: int, p_: int, q_: int, r_: int,
+def conjecture_check(p_: int, q_: int, r_: int,
                      bound: int = DEFAULT_BOUND) -> ConjectureReport:
-    """Predicted value 1 - gcd(n, q)/(2n) for the four-block word with
-    a-exponents (-n, p, q, r) and b-exponents (-1, 1, -1, 1), versus the
-    engine's computed value.  Informational: mismatches are reported, never
-    asserted."""
-    if p_ <= 0 or q_ <= 0 or r_ <= 0 or p_ + q_ + r_ != n_:
+    """Predicted value 1 - gcd(n, q)/(2n), n = p + q + r, for the four-block
+    word with a-exponents (-n, p, q, r) and b-exponents (-1, 1, -1, 1),
+    versus the engine's computed value.  Informational: mismatches are
+    reported, never asserted."""
+    if p_ <= 0 or q_ <= 0 or r_ <= 0:
         raise InputError("need positive p, q, r with p + q + r = n")
+    n_ = p_ + q_ + r_
     w = make_word(4, [[-n_, p_, q_, r_]], [[-1, 1, -1, 1]])
     predicted = 1 - Fraction(gcd(n_, q_), 2 * n_)
     computed = scl(w, bound=bound, stabilize=True)

@@ -384,12 +384,15 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
     which answers the weighted subset problem under the promise.
 
     Zero entries and, from three entries on, cyclically adjacent cancelling
-    pairs are answered directly (they witness a proper subset solution of
-    weight at most 2); after that pre-check, a zero-sum set exists iff a
-    J-pair certificate pushes scl strictly below the threshold, while its
-    absence forces the minimal vanishing weight to n and the lower bound
-    to meet the threshold (a lower one breaks the promise and raises
-    PromiseViolation).  A list without a zero entry that does not sum to
+    pairs are answered directly (route "precheck"): they witness a proper
+    subset solution of weight at most 2, so the answer there is the subset
+    answer, and it is the scl answer only under the promise, which the
+    pre-check does not test ([3, 2, -2, -3] has a cancelling pair, yet its
+    word has scl exactly n/2 - 1 = 1).  After that pre-check, a zero-sum
+    set exists iff a J-pair certificate pushes scl strictly below the
+    threshold, while its absence forces the minimal vanishing weight to n
+    and the lower bound to meet the threshold (a lower one breaks the
+    promise and raises PromiseViolation).  A list without a zero entry that does not sum to
     zero names no word and is refused, and past the pre-check the subset
     search is limited to SS_BRUTE_LIMIT entries.
     """

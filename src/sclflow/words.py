@@ -119,12 +119,10 @@ def parse_word(text: str) -> Word:
         raise ParseError(f"word must start with an a-block, got {tokens[0]!r}")
     if blocks[-1][0] != "b":
         raise ParseError(f"word must end with a b-block, got {tokens[-1]!r}")
-    if len(blocks) % 2 != 0:
-        raise ParseError("blocks do not alternate a, b, ..., a, b")
+    # a token of the previous block's letter joins that block, so the
+    # blocks alternate; from a to b their count is even
     n = len(blocks) // 2
-    for k, (alpha, acc) in enumerate(blocks):
-        if alpha != ("a" if k % 2 == 0 else "b"):
-            raise ParseError("blocks do not alternate a, b, ..., a, b")
+    for k, (_alpha, acc) in enumerate(blocks):
         if all(v == 0 for v in acc.values()):
             raise ParseError(f"block {k + 1} is empty after combining exponents")
     a_blocks = [acc for alpha, acc in blocks if alpha == "a"]

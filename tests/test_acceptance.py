@@ -1,72 +1,17 @@
 """Acceptance battery: one test per contract criterion, exact equalities.
 
-Each test prints its scorecard line (visible with pytest -s); the same
+Each case prints its scorecard line (visible with pytest -s); the same
 checks back the CLI `verify` subcommand.
 """
 
-from sclflow import acceptance
+import pytest
+
+from sclflow.acceptance import ALL_CRITERIA
 
 
-def _run(fn):
-    result = fn()
+@pytest.mark.parametrize("criterion", ALL_CRITERIA, ids=lambda c: c.__name__)
+def test_criterion(criterion):
+    result = criterion()
     print(result.line())
-    if result.passed is None:  # informational criterion: never a failure
-        return result
-    assert result.passed, result.details
-    return result
-
-
-def test_criterion_01_mixed_word_value():
-    r = _run(acceptance.criterion_1)
-    assert r.seconds < 5.0
-
-
-def test_criterion_02_odd_universal_words():
-    r = _run(acceptance.criterion_2)
-    assert r.seconds < 120.0
-
-
-def test_criterion_03_even_universal_word():
-    r = _run(acceptance.criterion_3)
-    assert r.seconds < 60.0
-
-
-def test_criterion_04_span_equal_pair():
-    _run(acceptance.criterion_4)
-
-
-def test_criterion_05_lower_bound_soundness():
-    _run(acceptance.criterion_5)
-
-
-def test_criterion_06_generic_words_interval():
-    _run(acceptance.criterion_6)
-
-
-def test_criterion_07_reduction_chain():
-    _run(acceptance.criterion_7)
-
-
-def test_criterion_08_small_scl_equivalence():
-    _run(acceptance.criterion_8)
-
-
-def test_criterion_09_essential_gadget():
-    _run(acceptance.criterion_9)
-
-
-def test_criterion_10_synthesis():
-    _run(acceptance.criterion_10)
-
-
-def test_criterion_11_cone_geometry():
-    _run(acceptance.criterion_11)
-
-
-def test_criterion_12_lp_oracle():
-    _run(acceptance.criterion_12)
-
-
-def test_criterion_13_conjecture_sweep():
-    r = _run(acceptance.criterion_13)
-    assert r.passed is None  # informational by contract
+    # criterion 13 is informational by contract: never a pass or a failure
+    assert result.passed is (None if result.ident == 13 else True), result.details

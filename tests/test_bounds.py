@@ -193,12 +193,12 @@ def test_sample_generic_deterministic_per_seed():
 
 
 def test_conjecture_word_shape():
-    report = conjecture_check(3, 1, 1, 1, bound=1)
+    report = conjecture_check(1, 1, 1, bound=1)
     assert report.predicted == F(5, 6)
-    report = conjecture_check(4, 1, 2, 1, bound=1)
+    report = conjecture_check(1, 2, 1, bound=1)
     assert report.predicted == F(3, 4)
-    with pytest.raises(InputError):
-        conjecture_check(4, 1, 1, 1)
+    with pytest.raises(InputError, match="need positive p, q, r"):
+        conjecture_check(0, 1, 1)
 
 
 @pytest.mark.parametrize("call, whole_float", [

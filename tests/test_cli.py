@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 from reference_rays import support_nullity
@@ -9,6 +10,7 @@ from sclflow.cli import main
 from sclflow.cones import cone_spec, in_cone
 from sclflow.errors import LimitExceeded
 from sclflow.graphs import flow_from_json
+from sclflow.hardness import small_scl_instance
 from sclflow.words import parse_word
 
 
@@ -104,6 +106,27 @@ def test_gadget_smallscl(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["word"] == "a^2 b a^-1 b a^-1 b^-2"
+
+
+@pytest.mark.parametrize("values, pair", [
+    ([3, 2, -2, -3], "1,2"),
+    ([-3, -2, 1, 1, 3], "4,0"),
+])
+def test_gadget_smallscl_precheck_makes_no_scl_claim(capsys, values, pair):
+    # a cancelling pair is a proper zero-sum subset, yet these words have
+    # scl exactly n/2 - 1: the pre-check reports the subset answer only
+    assert engine.scl(small_scl_instance(values)).value == F(len(values), 2) - 1
+    arg = "--values=" + ",".join(map(str, values))
+    code, out, _ = run_cli(capsys, "--output", "json", "gadget", "smallscl", arg)
+    assert code == 0
+    data = json.loads(out)
+    assert "below_threshold" not in data
+    assert (data["zero_sum_subset"], data["route"]) == (True, "precheck")
+    code, out, _ = run_cli(capsys, "gadget", "smallscl", arg)
+    assert code == 0
+    assert "scl below threshold" not in out
+    assert (f"proper zero-sum subset: True via precheck "
+            f"(adjacent entries {pair} cancel)") in out
 
 
 def test_gadget_reduce(capsys):

@@ -508,7 +508,7 @@ def test_certificates_hold_on_a_seeded_corpus():
 @pytest.mark.parametrize("call", [
     lambda b: scl(universal_word(2), bound=b),
     lambda b: klein_value(SPEC2, cycle_flow(2, [0, 1]), b),
-    lambda b: conjecture_check(3, 1, 1, 1, b),
+    lambda b: conjecture_check(1, 1, 1, b),
 ], ids=["scl", "klein_value", "conjecture_check"])
 def test_bound_must_be_an_int(call, bound):
     # range() would run True as bound 1 and fail on 2.5 with a TypeError
