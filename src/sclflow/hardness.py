@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .bounds import lower_bound, vanishing_combinations
@@ -80,18 +80,39 @@ class SubsetAnswer:
     witness: Optional[tuple[int, ...]] = None
 
 
+def _half_sums(vectors, first: int, zero: tuple, op=add) -> list:
+    """(index tuple, sum) of every subset of vectors, indexed from first,
+    built by doubling: one vector op per subset (op=sub gives the negated
+    sums).  Positions join from the last down, so subsets of one size come
+    in reverse lexicographic order and the last of them is the least."""
+    subsets = [((), zero)]
+    for i in reversed(range(len(vectors))):
+        v = vectors[i]
+        subsets += [((first + i,) + idx, tuple(map(op, s, v)))
+                    for idx, s in subsets]
+    return subsets
+
+
 def _solve_binary(vectors, proper: bool) -> SubsetAnswer:
+    """The first zero-sum index set by size, then lexicographically, found
+    by meeting in the middle (Horowitz and Sahni 1974): the negated sums of
+    the left half are looked up among the sums of the right half."""
     n = len(vectors)
     # proper instances sum to zero, so the complement of a zero-sum set is
     # one too, and the smallest proper one has at most n/2 entries
     top = n // 2 if proper else n
+    h = n // 2
+    zero = (0,) * len(vectors[0]) if vectors else ()
+    left = _half_sums(vectors[:h], 0, zero, sub)
+    # every left index is below every right one, so left + right is the
+    # sorted set, and for a fixed left part the least right part is best
+    right = {(len(idx), s): idx for idx, s in _half_sums(vectors[h:], h, zero)}
     for size in range(1, top + 1):
-        # the index and vector combinations come out in the same order
-        for idx, combo in zip(combinations(range(n), size),
-                              combinations(vectors, size)):
-            if not any(map(sum, zip(*combo))):
-                lam = tuple(1 if i in idx else 0 for i in range(n))
-                return SubsetAnswer(True, lam)
+        found = [idx + tail for idx, s in left
+                 if (tail := right.get((size - len(idx), s))) is not None]
+        if found:
+            chosen = set(min(found))
+            return SubsetAnswer(True, tuple(1 if i in chosen else 0 for i in range(n)))
     return SubsetAnswer(False)
 
 
@@ -103,14 +124,18 @@ def _solve_varssp(vectors) -> SubsetAnswer:
 
 
 def solve_subset(inst: SubsetInstance) -> SubsetAnswer:
-    """Exact answers by exhaustive search, with witnesses where they exist.
+    """Exact answers, with witnesses where they exist.
 
+    SS, SSP and COSS answer by one 0/1 search that meets in the middle: it
+    lists the sums of every subset of each half of the input, 2 * 2^(n/2)
+    of them, and returns the first zero-sum set by size, then
+    lexicographically.  VARSSP searches the weighted combinations, and
     MIXEDSSP answers through SSP after asserting the promise; a violated
     promise is an input error of its own kind.
     """
     if inst.n > SS_BRUTE_LIMIT:
         raise LimitExceeded(
-            f"brute-force subset solving limited to n <= {SS_BRUTE_LIMIT}")
+            f"exact subset solving limited to n <= {SS_BRUTE_LIMIT}")
     if inst.variant == "SS":
         return _solve_binary(inst.vectors, proper=False)
     if inst.variant == "SSP":
@@ -383,26 +408,25 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
     """Decide whether the one-a-generator word of xs has scl below n/2 - 1,
     which answers the weighted subset problem under the promise.
 
-    Zero entries and, from three entries on, cyclically adjacent cancelling
-    pairs are answered directly (route "precheck"): they witness a proper
-    subset solution of weight at most 2, so the answer there is the subset
-    answer, and it is the scl answer only under the promise, which the
-    pre-check does not test ([3, 2, -2, -3] has a cancelling pair, yet its
-    word has scl exactly n/2 - 1 = 1).  After that pre-check, a zero-sum
-    set exists iff a J-pair certificate pushes scl strictly below the
-    threshold, while its absence forces the minimal vanishing weight to n
-    and the lower bound to meet the threshold (a lower one breaks the
-    promise and raises PromiseViolation).  A list without a zero entry that does not sum to
-    zero names no word and is refused, and past the pre-check the subset
-    search is limited to SS_BRUTE_LIMIT entries.
+    From three entries on, cyclically adjacent cancelling pairs are
+    answered directly (route "precheck"): they witness a proper subset
+    solution of weight 2, so the answer there is the subset answer, and it
+    is the scl answer only under the promise, which the pre-check does not
+    test ([3, 2, -2, -3] has a cancelling pair, yet its word has scl
+    exactly n/2 - 1 = 1).  After that pre-check, a zero-sum set exists iff
+    a J-pair certificate pushes scl strictly below the threshold, while its
+    absence forces the minimal vanishing weight to n and the lower bound to
+    meet the threshold (a lower one breaks the promise and raises
+    PromiseViolation).  A list with a zero entry, or one that does not sum
+    to zero, names no word and is refused, and past the pre-check the
+    subset search is limited to SS_BRUTE_LIMIT entries.
     """
     xs = tuple(map(as_int, xs))
     n = len(xs)
     if n < 2:
         raise InputError("need at least two entries")
-    for j, v in enumerate(xs):
-        if v == 0:
-            return SmallSclDecision(True, "precheck", f"entry {j} is zero")
+    if 0 in xs:
+        raise InputError("exponents must be nonzero")
     if sum(xs) != 0:
         raise InputError("exponents must sum to zero")
     # at n = 2 the cancelling pair is the whole list, not a proper subset
@@ -412,8 +436,8 @@ def decide_small_scl(xs: Sequence[int]) -> SmallSclDecision:
                 True, "precheck", f"adjacent entries {k},{k1} cancel")
     # the set found has at most n/2 entries, and past the precheck neither
     # it nor its complement is a cyclically adjacent pair: that happens
-    # only for n <= 4, where the set would be a zero entry or the other,
-    # also cancelling, pair
+    # only for n <= 4, where the set, having no zero entry, would be the
+    # other, also cancelling, pair
     subset = solve_subset(instance("SSP", xs))
     if subset.answer:
         j_set = tuple(i for i, b in enumerate(subset.witness) if b)
@@ -481,7 +505,7 @@ def reduce_ss_to_smallscl(values: Sequence[int]) -> ReductionTranscript:
     """Decide SS on `values` by balancing, building one table per r,
     collapsing to integers, and answering each mixed instance by one
     decision: `decide_small_scl` for at most SCL_PATH_MAX_M values, the
-    brute-force MIXEDSSP search past that, and the SSP search when the
+    exact MIXEDSSP search past that, and the SSP search when the
     promise breaks.  The transcript records every intermediate instance
     and the route taken."""
     vals = tuple(map(as_int, values))

@@ -55,27 +55,50 @@ def test_solve_varssp_example():
 
 
 def _first_zero_subset(vectors, top):
-    """The first zero-sum index set by size, then lexicographically."""
-    n, k = len(vectors), len(vectors[0])
+    """The first zero-sum index set by size, then lexicographically, by
+    scanning every index set of up to top entries."""
+    n = len(vectors)
     for size in range(1, top + 1):
-        for idx in combinations(range(n), size):
-            if all(sum(vectors[i][c] for i in idx) == 0 for c in range(k)):
+        for idx, combo in zip(combinations(range(n), size),
+                              combinations(vectors, size)):
+            if not any(map(sum, zip(*combo))):
                 return tuple(1 if i in idx else 0 for i in range(n))
     return None
 
 
+def _oracle_vectors(rng, n, k):
+    """n vectors of dimension k: drawn from a pool of three, one of them
+    possibly zero, so that many subsets share a size and a sum; or with
+    positive first entries but one, so that witnesses are few and large."""
+    if rng.random() < 0.5:
+        pool = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(3)]
+        return [list(rng.choice(pool)) for _ in range(n)]
+    vectors = [[rng.randint(1, 3)] + [rng.randint(-1, 1) for _ in range(k - 1)]
+               for _ in range(n)]
+    if vectors:
+        vectors[rng.randrange(n)][0] = -rng.randint(1, 2 * n)
+    return vectors
+
+
 def test_binary_witnesses_match_plain_search():
+    # every n up to the limit: odd n splits into unequal halves
     rng = random.Random(12)
-    for _ in range(300):
-        k = rng.randint(1, 3)
-        n = rng.randint(1, 7)
-        vectors = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
-        balanced = vectors + [[-sum(col) for col in zip(*vectors)]]
-        for variant, vecs, top in (("SS", vectors, n), ("SSP", balanced, n)):
+    for n, k, _ in product(range(SS_BRUTE_LIMIT + 1), (1, 2, 3), range(4)):
+        vectors = _oracle_vectors(rng, n, k)
+        # SSP on as many entries: the last one balances the others
+        head = vectors[:-1]
+        balanced = (head + [[-sum(v[c] for v in head) for c in range(k)]])[:n]
+        for vecs, top, variant in ((vectors, n, "SS"), (balanced, n - 1, "SSP")):
             ans = solve_subset(instance(variant, vecs))
             want = _first_zero_subset(vecs, top)
             assert ans.answer == (want is not None)
             assert ans.witness == want
+
+
+def test_binary_search_edges():
+    assert solve_subset(instance("SS", [])) == hardness.SubsetAnswer(False)
+    # a vector of dimension 0 is zero
+    assert solve_subset(instance("SS", [[]])) == hardness.SubsetAnswer(True, (1,))
 
 
 def test_mixed_promise_violation():
@@ -313,9 +336,14 @@ def test_decide_small_scl_refuses_a_list_that_does_not_sum_to_zero():
         decide_small_scl([1, 5, -1, 7])
     with pytest.raises(InputError, match="exponents must sum to zero"):
         decide_small_scl([1, -1, 3])
-    # a zero entry is still answered by the precheck
-    d = decide_small_scl([0, 5, 1])
-    assert d.answer and d.route == "precheck"
+
+
+@pytest.mark.parametrize("xs", [[0, 5, 1], [0, 1, -1], [2, 0, -2]])
+def test_decide_small_scl_refuses_a_zero_entry_as_the_word_builder_does(xs):
+    # a zero entry names no word, so `scl gadget smallscl` refuses it too
+    for call in (small_scl_instance, decide_small_scl):
+        with pytest.raises(InputError, match="exponents must be nonzero"):
+            call(xs)
 
 
 def test_decide_small_scl_refuses_more_than_the_brute_limit_past_the_precheck():
@@ -324,8 +352,10 @@ def test_decide_small_scl_refuses_more_than_the_brute_limit_past_the_precheck():
     powers = [2 ** k for k in range(SS_BRUTE_LIMIT)]
     with pytest.raises(LimitExceeded):
         decide_small_scl(powers + [-sum(powers)])
-    # the precheck still answers longer lists
-    assert decide_small_scl([0] + powers).route == "precheck"
+    # a zero entry is refused before the limit, and the precheck still
+    # answers longer lists
+    with pytest.raises(InputError, match="exponents must be nonzero"):
+        decide_small_scl([0] + powers + [-sum(powers)])
     d = decide_small_scl([1, -1] + powers + [-sum(powers)])
     assert d.answer and d.route == "precheck"
 
